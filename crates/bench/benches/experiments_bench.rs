@@ -4,8 +4,8 @@
 //! rows/series themselves come from `--bin experiments`.
 
 use lambda_sim::{
-    generate_trace, nearest_function, simulate_pool, CheckpointModel, Platform, SnapStartPricing,
-    StartMode, TraceConfig,
+    generate_trace, nearest_function, simulate_pool_ext_stream_traced, CheckpointModel, Platform,
+    PoolOptions, SnapStartPricing, StartMode, TraceConfig,
 };
 use std::hint::black_box;
 use trim_bench::harness::*;
@@ -138,8 +138,20 @@ fn main() {
             for f in &trace.functions {
                 let profile =
                     lambda_sim::AppProfile::new("f", 64.0, 0.5, f.duration_ms / 1000.0, f.mem_mb);
-                cold += simulate_pool(&platform, &profile, &f.arrivals, 900.0, StartMode::Restore)
-                    .cold_starts;
+                let options = PoolOptions {
+                    mode: StartMode::Restore,
+                    ..PoolOptions::default()
+                };
+                let arrivals = f.arrivals.iter().copied();
+                cold += simulate_pool_ext_stream_traced(
+                    &platform,
+                    &profile,
+                    arrivals,
+                    &options,
+                    |_| {},
+                )
+                .expect("sorted arrivals")
+                .cold_starts;
             }
             black_box(cold)
         });

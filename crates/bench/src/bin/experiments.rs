@@ -15,9 +15,9 @@
 //! tier benchmark `vm` (per-oracle-run VM vs tree-walker wall clock plus
 //! inline-cache hit rates, writes `BENCH_vm.json`), the CI differential
 //! smoke `vm-smoke` (one corpus app trimmed under both engines must yield
-//! identical reports), the CI replay smoke `replay-smoke` (event-driven
-//! vs naive pool engine on the golden fixture plus a small streamed fleet
-//! across worker counts), the init-snapshot memoization benchmark `memo`
+//! identical reports), the CI replay smoke `replay-smoke` (a small
+//! streamed fleet must replay byte-identically across worker counts), the
+//! init-snapshot memoization benchmark `memo`
 //! (per-probe init wall clock with snapshot replay vs live execution on
 //! the deep-import corpus slice, writes `BENCH_memo.json`), the CI
 //! memoization smoke `memo-smoke` (one deep-import app trimmed with the
@@ -36,8 +36,8 @@ use lambda_sim::metrics::{cdf, mean, median, percentile};
 use lambda_sim::trace::replay::render_metrics_json;
 use lambda_sim::{
     generate_trace, load_trace_csv, nearest_function, render_fleet_metrics_json, replay_fleet,
-    replay_trace, simulate_pool_ext_naive_traced, simulate_pool_ext_traced, AppProfile,
-    CheckpointModel, PoolOptions, ReplayOptions, SnapStartPricing, StartMode, TraceConfig,
+    replay_trace, simulate_pool_ext_stream_traced, CheckpointModel, PoolOptions, ReplayOptions,
+    SnapStartPricing, StartMode, TraceConfig,
 };
 use trim_bench::harness::*;
 use trim_core::{invoke_with_fallback, FallbackInstanceState};
@@ -778,15 +778,13 @@ fn ext() {
     let matched = nearest_function(&trace.functions, before.mem_mb, before.exec_secs * 1000.0)
         .expect("trace nonempty");
     let run = |profile: &lambda_sim::AppProfile, provisioned: usize| {
-        lambda_sim::simulate_pool_ext(
-            &platform,
-            profile,
-            &matched.arrivals,
-            &lambda_sim::PoolOptions {
-                provisioned,
-                ..lambda_sim::PoolOptions::default()
-            },
-        )
+        let options = PoolOptions {
+            provisioned,
+            ..PoolOptions::default()
+        };
+        let arrivals = matched.arrivals.iter().copied();
+        simulate_pool_ext_stream_traced(&platform, profile, arrivals, &options, |_| {})
+            .expect("trace arrivals are sorted")
     };
     println!(
         "{:<26} {:>8} {:>12} {:>12}",
@@ -1004,40 +1002,7 @@ fn replay_bench(jobs: usize) {
         per_sec
     );
 
-    // (c) Event-driven vs naive pool engine on burst-heavy workloads —
-    // the regime where the naive per-arrival scan is quadratic (every
-    // arrival rescans a pool that bursts keep large). Stats must agree
-    // exactly; the speedup is what the event-driven rewrite buys.
-    let burst_rows: Vec<String> = burst_configs()
-        .iter()
-        .map(|cfg| {
-            let (arrivals, app, pool) = cfg.build();
-            let t = std::time::Instant::now();
-            let naive = simulate_pool_ext_naive_traced(&platform, &app, &arrivals, &pool, |_| {});
-            let naive_s = t.elapsed().as_secs_f64();
-            let t = std::time::Instant::now();
-            let event = simulate_pool_ext_traced(&platform, &app, &arrivals, &pool, |_| {});
-            let event_s = t.elapsed().as_secs_f64();
-            assert_eq!(naive, event, "{}: engines diverged", cfg.name);
-            let speedup = naive_s / event_s.max(1e-9);
-            println!(
-                "burst `{}`: {} arrivals, naive {:.3} s, event {:.4} s = {:.1}x",
-                cfg.name,
-                arrivals.len(),
-                naive_s,
-                event_s,
-                speedup
-            );
-            format!(
-                "    {{\"config\": \"{}\", \"arrivals\": {}, \"naive_s\": {naive_s:.4}, \
-                 \"event_s\": {event_s:.4}, \"speedup\": {speedup:.1}}}",
-                cfg.name,
-                arrivals.len()
-            )
-        })
-        .collect();
-
-    // (d) Fleet-scaling sweep: stream synthetic fleets straight through
+    // (c) Fleet-scaling sweep: stream synthetic fleets straight through
     // the pool with bounded memory (no trace materialization), recording
     // where the throughput curve bends as the fleet grows 100×.
     let fleet_rows: Vec<String> = [400usize, 4_000, 40_000]
@@ -1076,12 +1041,11 @@ fn replay_bench(jobs: usize) {
          \"fixture\": \"tests/golden/azure_trace_sample.csv\",\n  \"jobs\": {jobs},\n  \
          \"host_cores\": {},\n  \"synthetic_functions\": {},\n  \"synthetic_invocations\": {},\n  \
          \"elapsed_s\": {elapsed:.3},\n  \"pool_invocations_per_sec\": {per_sec:.0},\n  \
-         \"burst_engine_comparison\": [\n{}\n  ],\n  \"fleet_scaling\": [\n{}\n  ],\n  \
+         \"fleet_scaling\": [\n{}\n  ],\n  \
          \"metrics\":\n{indented}\n}}\n",
         std::thread::available_parallelism().map_or(1, |n| n.get()),
         synthetic.functions.len(),
         synthetic.invocations(),
-        burst_rows.join(",\n"),
         fleet_rows.join(",\n"),
     );
     let path = "BENCH_replay.json";
@@ -1089,127 +1053,12 @@ fn replay_bench(jobs: usize) {
     println!("wrote {path}");
 }
 
-/// A deterministic burst-heavy workload: `bursts` bursts of `burst_size`
-/// simultaneous arrivals, `gap_secs` apart, against a long-running app
-/// with a long keep-alive — so the live pool holds
-/// `burst_size × exec_secs / gap_secs` instances and the naive engine's
-/// per-arrival scan goes quadratic.
-struct BurstConfig {
-    name: &'static str,
-    bursts: usize,
-    burst_size: usize,
-    gap_secs: f64,
-    exec_secs: f64,
-    max_concurrency: Option<usize>,
-}
-
-impl BurstConfig {
-    fn build(&self) -> (Vec<f64>, AppProfile, PoolOptions) {
-        let mut arrivals = Vec::with_capacity(self.bursts * self.burst_size);
-        for b in 0..self.bursts {
-            let t = b as f64 * self.gap_secs;
-            for _ in 0..self.burst_size {
-                arrivals.push(t);
-            }
-        }
-        let app = AppProfile::new("burst", 64.0, 0.5, self.exec_secs, 512.0);
-        let window = self.bursts as f64 * self.gap_secs + self.exec_secs + 7_200.0;
-        let pool = PoolOptions {
-            keep_alive_secs: 7_200.0,
-            max_concurrency: self.max_concurrency,
-            window_secs: window,
-            ..PoolOptions::default()
-        };
-        (arrivals, app, pool)
-    }
-}
-
-fn burst_configs() -> Vec<BurstConfig> {
-    vec![
-        BurstConfig {
-            name: "burst_pool_1k",
-            bursts: 400,
-            burst_size: 250,
-            gap_secs: 30.0,
-            exec_secs: 120.0,
-            max_concurrency: None,
-        },
-        BurstConfig {
-            name: "burst_pool_5k",
-            bursts: 400,
-            burst_size: 250,
-            gap_secs: 30.0,
-            exec_secs: 600.0,
-            max_concurrency: None,
-        },
-        // Parity reference, not a speedup target: a concurrency cap bounds
-        // the pool at `cap` instances, so the naive scan is O(cap) and
-        // never quadratic — this row documents that the event engine stays
-        // competitive even where the old engine was not the bottleneck.
-        BurstConfig {
-            name: "capped_parity_reference",
-            bursts: 200,
-            burst_size: 100,
-            gap_secs: 30.0,
-            exec_secs: 5.0,
-            max_concurrency: Some(32),
-        },
-    ]
-}
-
 // ---------------------------------------------------------------------------
-// Replay smoke (CI): engine differential + streamed fleet determinism.
+// Replay smoke (CI): streamed fleet determinism across worker counts.
 // ---------------------------------------------------------------------------
 fn replay_smoke(jobs: usize) {
-    banner("Replay smoke — engine differential + small streamed fleet");
+    banner("Replay smoke — small streamed fleet across worker counts");
     let platform = default_platform();
-
-    // Event-driven engine must match the naive oracle on the golden
-    // fixture, function by function, under both capped and uncapped pools.
-    let fixture = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../tests/golden/azure_trace_sample.csv"
-    );
-    let trace = load_trace_csv(fixture, 0xA57AC3).expect("golden fixture parses");
-    let mut checked = 0usize;
-    for function in &trace.functions {
-        let app = AppProfile::new(
-            function.name.clone(),
-            64.0,
-            0.5,
-            function.duration_ms / 1000.0,
-            function.mem_mb,
-        );
-        for max_concurrency in [None, Some(2)] {
-            let pool = PoolOptions {
-                max_concurrency,
-                window_secs: trace.window_secs,
-                ..PoolOptions::default()
-            };
-            let naive =
-                simulate_pool_ext_naive_traced(&platform, &app, &function.arrivals, &pool, |_| {});
-            let event =
-                simulate_pool_ext_traced(&platform, &app, &function.arrivals, &pool, |_| {});
-            assert_eq!(naive, event, "{}: engines diverged", function.name);
-            checked += 1;
-        }
-    }
-    println!("engine differential: {checked} (function × pool) cases identical");
-
-    // One quick burst config through both engines.
-    let cfg = BurstConfig {
-        name: "smoke_burst",
-        bursts: 50,
-        burst_size: 80,
-        gap_secs: 30.0,
-        exec_secs: 120.0,
-        max_concurrency: None,
-    };
-    let (arrivals, app, pool) = cfg.build();
-    let naive = simulate_pool_ext_naive_traced(&platform, &app, &arrivals, &pool, |_| {});
-    let event = simulate_pool_ext_traced(&platform, &app, &arrivals, &pool, |_| {});
-    assert_eq!(naive, event, "smoke burst: engines diverged");
-    println!("burst differential: {} arrivals identical", arrivals.len());
 
     // Small streamed fleet: byte-identical metrics across worker counts,
     // and identical to what this invocation's --jobs produces.
@@ -1256,11 +1105,12 @@ fn measure_engines(bench: &trim_apps::BenchApp, budget: std::time::Duration) -> 
     use std::time::Instant;
     let one_run = |engine| {
         let t = Instant::now();
-        std::hint::black_box(trim_core::run_app_with(
+        std::hint::black_box(trim_core::run_app_opts(
             &bench.registry,
             &bench.app_source,
             &bench.spec,
             engine,
+            false,
         ))
         .expect("corpus app runs");
         t.elapsed().as_nanos() as u64

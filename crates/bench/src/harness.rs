@@ -2,7 +2,8 @@
 //! the platform-level quantities every table/figure consumes.
 
 use lambda_sim::{
-    simulate_pool, AppProfile, CheckpointModel, Platform, PricingModel, SnapStartPricing, StartMode,
+    simulate_pool_ext_stream_traced, AppProfile, CheckpointModel, Platform, PoolOptions,
+    PricingModel, SnapStartPricing, StartMode,
 };
 use trim_apps::BenchApp;
 use trim_core::{trim_app, trim_corpus_parallel, CorpusJob, DebloatOptions, Execution, TrimReport};
@@ -190,16 +191,23 @@ pub fn snapstart_account(
     keep_alive_secs: f64,
     window_secs: f64,
 ) -> SnapStartAccount {
-    let stats = simulate_pool(
+    let options = PoolOptions {
+        keep_alive_secs,
+        mode: StartMode::Restore,
+        window_secs,
+        ..PoolOptions::default()
+    };
+    let stats = simulate_pool_ext_stream_traced(
         platform,
         profile,
-        arrivals,
-        keep_alive_secs,
-        StartMode::Restore,
-    );
+        arrivals.iter().copied(),
+        &options,
+        |_| {},
+    )
+    .expect("trace arrivals are sorted");
     let snapshot_mb = checkpoint.snapshot_mb(profile.mem_mb);
     SnapStartAccount {
-        invocation_cost: stats.total_cost,
+        invocation_cost: stats.invocation_cost,
         snapstart_cost: pricing.window_cost(snapshot_mb, window_secs, stats.cold_starts),
         cold_starts: stats.cold_starts,
         invocations: stats.invocations(),

@@ -9,9 +9,8 @@ use crate::rewrite::rewrite_module;
 use crate::TrimError;
 use pylite::{Engine, Registry};
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use trim_dd::{ddmin_parallel, ddmin_with, greedy_min, DdOptions, DdStats};
+use trim_dd::{ddmin_with, greedy_min, DdOptions, DdStats};
 
 /// Which minimization algorithm the debloater runs per module.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -47,10 +46,7 @@ pub struct DebloatOptions {
     pub scoring: trim_profiler::ScoringMethod,
     /// Underlying DD options.
     pub dd: DdOptions,
-    /// Worker threads for DD probe evaluation (1 = the paper's sequential
-    /// algorithm; >1 = the §9 future-work parallelization).
-    pub threads: usize,
-    /// Minimization algorithm (parallel probing requires [`Algorithm::Ddmin`]).
+    /// Minimization algorithm.
     pub algorithm: Algorithm,
     /// Static-analysis coverage used to seed the must-keep exclusion sets
     /// (§5.1). Interprocedural (the default) yields larger exclusion sets
@@ -62,8 +58,8 @@ pub struct DebloatOptions {
     /// whose inputs have not changed. `None` disables cross-run caching.
     pub probe_cache: Option<Arc<ProbeCache>>,
     /// Worker threads for the sharded static-analysis fixpoint (1 = serial;
-    /// any value produces bit-identical analyses). Independent of
-    /// [`DebloatOptions::threads`], which parallelizes DD probing.
+    /// any value produces bit-identical analyses). DD probing itself is
+    /// always sequential, as in the paper.
     pub jobs: usize,
     /// Cross-run static-analysis summary cache. Share one
     /// [`trim_analysis::summary::SummaryCache`] across retrims so registry
@@ -102,7 +98,6 @@ impl PartialEq for DebloatOptions {
         self.k == other.k
             && self.scoring == other.scoring
             && self.dd == other.dd
-            && self.threads == other.threads
             && self.algorithm == other.algorithm
             && self.analysis == other.analysis
             && self.jobs == other.jobs
@@ -129,7 +124,6 @@ impl Default for DebloatOptions {
             k: 20,
             scoring: trim_profiler::ScoringMethod::Combined,
             dd: DdOptions::default(),
-            threads: 1,
             algorithm: Algorithm::Ddmin,
             analysis: trim_analysis::AnalysisMode::default(),
             probe_cache: None,
@@ -229,35 +223,27 @@ pub fn debloat_module(
         .cloned()
         .collect();
 
-    let spent = Arc::new(AtomicU64::new(0));
-    let make_keep = {
-        let fixed = fixed.clone();
-        move |subset: &[String]| -> BTreeSet<String> {
-            fixed
-                .iter()
-                .cloned()
-                .chain(subset.iter().cloned())
-                .collect()
-        }
-    };
+    // Probe time accumulates in whole virtual nanoseconds.
+    let mut spent_nanos = 0u64;
 
     // One probe = one copy-on-write overlay over the working registry: the
     // base's sources and parse results are shared (O(modules) pointer
     // bumps), only the rewritten module gets a fresh entry. Verdicts are
     // memoized in the cross-run probe cache when one is attached.
     let app_fp = app_fingerprint(app_source, spec);
-    let probe = |keep: &BTreeSet<String>, base: &Registry, spent: &AtomicU64| -> bool {
+    let mut oracle = |subset: &[String]| -> bool {
+        let keep: BTreeSet<String> = fixed.iter().chain(subset).cloned().collect();
         let key = options
             .probe_cache
             .as_ref()
-            .map(|_| ProbeKey::new(base.fingerprint(), app_fp, module, keep.iter().cloned()));
+            .map(|_| ProbeKey::new(work.fingerprint(), app_fp, module, keep.iter().cloned()));
         if let (Some(cache), Some(key)) = (&options.probe_cache, &key) {
             if let Some(verdict) = cache.get(key) {
                 return verdict;
             }
         }
-        let rewritten = rewrite_module(&program, keep);
-        let candidate_registry = base.with_module(module, pylite::unparse(&rewritten));
+        let rewritten = rewrite_module(&program, &keep);
+        let candidate_registry = work.with_module(module, pylite::unparse(&rewritten));
         let (result, secs) = run_app_measured_opts(
             &candidate_registry,
             app_source,
@@ -265,7 +251,7 @@ pub fn debloat_module(
             options.engine,
             options.init_snapshots,
         );
-        spent.fetch_add((secs * 1e9) as u64, Ordering::Relaxed);
+        spent_nanos += (secs * 1e9) as u64;
         let verdict = match result {
             Ok(actual) => actual.behavior_eq(expected),
             Err(_) => false,
@@ -276,34 +262,12 @@ pub fn debloat_module(
         verdict
     };
 
-    let dd_result = if options.threads > 1 {
-        // Parallel probing: Registry is Send + Sync, so workers share the
-        // same COW base snapshot and run the identical overlay probe —
-        // no source snapshots, no per-probe re-parsing.
-        if options.algorithm == Algorithm::Greedy {
-            return Err(TrimError::Config(
-                "greedy minimization is sequential; use threads = 1 or Algorithm::Ddmin".to_owned(),
-            ));
-        }
-        let base = work.clone();
-        let probe = &probe;
-        let make_keep = &make_keep;
-        let spent_nanos = &spent;
-        let factory = move || {
-            let base = base.clone();
-            Box::new(move |subset: &[String]| probe(&make_keep(subset), &base, spent_nanos))
-                as Box<dyn FnMut(&[String]) -> bool + Send>
-        };
-        ddmin_parallel(&candidates, factory, options.threads, options.dd)
-    } else {
-        let mut oracle = |subset: &[String]| probe(&make_keep(subset), work, &spent);
-        match options.algorithm {
-            Algorithm::Ddmin => ddmin_with(&candidates, &mut oracle, options.dd),
-            Algorithm::Greedy => greedy_min(&candidates, &mut oracle),
-        }
+    let dd_result = match options.algorithm {
+        Algorithm::Ddmin => ddmin_with(&candidates, &mut oracle, options.dd),
+        Algorithm::Greedy => greedy_min(&candidates, &mut oracle),
     };
 
-    let debloat_secs = spent.load(Ordering::Relaxed) as f64 / 1e9;
+    let debloat_secs = spent_nanos as f64 / 1e9;
     match dd_result {
         Ok(result) => {
             let survivors: BTreeSet<String> = result.minimized.iter().cloned().collect();
@@ -456,66 +420,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_debloat_matches_sequential() {
-        let spec = spec();
-        let mut seq_work = torch_registry();
-        let expected = run_app(&seq_work, APP, &spec).unwrap();
-        let seq = debloat_module(
-            &mut seq_work,
-            APP,
-            &spec,
-            &expected,
-            "torch",
-            &BTreeSet::new(),
-            &DebloatOptions::default(),
-        )
-        .unwrap();
-        let mut par_work = torch_registry();
-        let par = debloat_module(
-            &mut par_work,
-            APP,
-            &spec,
-            &expected,
-            "torch",
-            &BTreeSet::new(),
-            &DebloatOptions {
-                threads: 4,
-                ..DebloatOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(seq.kept, par.kept);
-        assert_eq!(seq.removed, par.removed);
-        assert_eq!(seq_work.source("torch"), par_work.source("torch"));
-    }
-
-    #[test]
-    fn greedy_with_parallel_probes_is_a_config_error() {
-        let mut work = torch_registry();
-        let expected = run_app(&work, APP, &spec()).unwrap();
-        let err = debloat_module(
-            &mut work,
-            APP,
-            &spec(),
-            &expected,
-            "torch",
-            &BTreeSet::new(),
-            &DebloatOptions {
-                threads: 4,
-                algorithm: Algorithm::Greedy,
-                ..DebloatOptions::default()
-            },
-        )
-        .unwrap_err();
-        assert!(matches!(err, TrimError::Config(_)));
-        assert_eq!(
-            work.source("torch"),
-            torch_registry().source("torch"),
-            "rejected configuration must not touch the registry"
-        );
-    }
-
-    #[test]
     fn probe_cache_answers_repeat_runs_without_new_probes() {
         let cache = crate::probe_cache::ProbeCache::shared();
         let options = DebloatOptions {
@@ -558,49 +462,6 @@ mod tests {
             "warm run must not miss the probe cache"
         );
         assert!(cache.hits() > 0);
-    }
-
-    #[test]
-    fn parallel_debloat_shares_the_probe_cache() {
-        let cache = crate::probe_cache::ProbeCache::shared();
-        let spec = spec();
-        let mut seq_work = torch_registry();
-        let expected = run_app(&seq_work, APP, &spec).unwrap();
-        let seq = debloat_module(
-            &mut seq_work,
-            APP,
-            &spec,
-            &expected,
-            "torch",
-            &BTreeSet::new(),
-            &DebloatOptions {
-                probe_cache: Some(cache.clone()),
-                ..DebloatOptions::default()
-            },
-        )
-        .unwrap();
-        let hits_before = cache.hits();
-        let mut par_work = torch_registry();
-        let par = debloat_module(
-            &mut par_work,
-            APP,
-            &spec,
-            &expected,
-            "torch",
-            &BTreeSet::new(),
-            &DebloatOptions {
-                threads: 4,
-                probe_cache: Some(cache.clone()),
-                ..DebloatOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(seq.kept, par.kept);
-        assert_eq!(seq_work.source("torch"), par_work.source("torch"));
-        assert!(
-            cache.hits() > hits_before,
-            "parallel workers must reuse sequential verdicts"
-        );
     }
 
     #[test]

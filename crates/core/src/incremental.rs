@@ -101,7 +101,9 @@ impl IncrementalReport {
 /// # Errors
 ///
 /// [`TrimError::Baseline`] if the updated application fails its oracle run,
-/// [`TrimError::Parse`] if a logged module no longer parses.
+/// [`TrimError::Parse`] if a logged module no longer parses,
+/// [`TrimError::NotEquivalent`] if the retrimmed application's final oracle
+/// run differs from the baseline.
 pub fn retrim_with_log(
     registry: &Registry,
     app_source: &str,
@@ -320,6 +322,7 @@ pub fn retrim_with_log(
         options.init_snapshots,
     )
     .map_err(TrimError::Baseline)?;
+    TrimError::check_equivalent(&before, &after)?;
     Ok(IncrementalReport {
         modules,
         before,

@@ -67,8 +67,7 @@ pub use fallback::{
 };
 pub use incremental::{retrim_with_log, IncrementalReport, TrimLog};
 pub use oracle::{
-    oracle_passes, run_app, run_app_measured, run_app_measured_opts, run_app_measured_with,
-    run_app_opts, run_app_with, Execution, OracleSpec, TestCase,
+    oracle_passes, run_app, run_app_measured_opts, run_app_opts, Execution, OracleSpec, TestCase,
 };
 pub use pipeline::{trim_app, trim_corpus_parallel, CorpusJob, TrimReport};
 pub use probe_cache::{app_fingerprint, ProbeCache, ProbeKey};
@@ -86,9 +85,27 @@ pub enum TrimError {
     /// The unmodified application failed its own oracle run — DD requires
     /// the original program to satisfy the oracle.
     Baseline(pylite::PyErr),
-    /// The requested option combination is unsupported (e.g. greedy
-    /// minimization with parallel probe workers).
+    /// The requested option combination is unsupported (e.g. zero
+    /// analysis workers).
     Config(String),
+    /// The trimmed application's final oracle run differs from the
+    /// baseline on the named observable channel. Every path that emits a
+    /// trimmed application ends with this check, in release builds too.
+    NotEquivalent(&'static str),
+}
+
+impl TrimError {
+    /// The soundness check that ends every trim: `after` (the trimmed
+    /// application's run) must be oracle-equivalent to `before`.
+    pub(crate) fn check_equivalent(
+        before: &oracle::Execution,
+        after: &oracle::Execution,
+    ) -> Result<(), TrimError> {
+        match after.behavior_diff(before) {
+            None => Ok(()),
+            Some(channel) => Err(TrimError::NotEquivalent(channel)),
+        }
+    }
 }
 
 impl fmt::Display for TrimError {
@@ -97,6 +114,10 @@ impl fmt::Display for TrimError {
             TrimError::Parse(e) => write!(f, "parse error: {e}"),
             TrimError::Baseline(e) => write!(f, "baseline application run failed: {e}"),
             TrimError::Config(msg) => write!(f, "unsupported configuration: {msg}"),
+            TrimError::NotEquivalent(channel) => write!(
+                f,
+                "trimmed application is not oracle-equivalent: {channel} differ from the baseline"
+            ),
         }
     }
 }

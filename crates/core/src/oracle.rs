@@ -73,9 +73,21 @@ impl Execution {
     /// Timings and memory are *not* compared — they are what trimming is
     /// supposed to change.
     pub fn behavior_eq(&self, other: &Execution) -> bool {
-        self.stdout == other.stdout
-            && self.extcalls == other.extcalls
-            && self.results == other.results
+        self.behavior_diff(other).is_none()
+    }
+
+    /// The first observable channel — `"stdout"`, `"external calls"` or
+    /// `"handler results"` — on which the two runs differ, if any.
+    pub fn behavior_diff(&self, other: &Execution) -> Option<&'static str> {
+        if self.stdout != other.stdout {
+            Some("stdout")
+        } else if self.extcalls != other.extcalls {
+            Some("external calls")
+        } else if self.results != other.results {
+            Some("handler results")
+        } else {
+            None
+        }
     }
 }
 
@@ -134,7 +146,8 @@ pub fn parse_literal(source: &str) -> Result<Value, PyErr> {
 }
 
 /// Run the application (initialization + every oracle case) in a fresh,
-/// isolated interpreter and capture its observable behavior.
+/// isolated interpreter on the default execution tier and capture its
+/// observable behavior.
 ///
 /// # Errors
 ///
@@ -144,26 +157,12 @@ pub fn run_app(
     app_source: &str,
     spec: &OracleSpec,
 ) -> Result<Execution, PyErr> {
-    run_app_measured(registry, app_source, spec).0
+    run_app_opts(registry, app_source, spec, Engine::default(), false)
 }
 
-/// Like [`run_app`], but on an explicit execution tier — the bytecode VM
-/// (the default) or the tree-walking reference interpreter.
-///
-/// # Errors
-///
-/// Any pylite exception raised during initialization or by the handler.
-pub fn run_app_with(
-    registry: &Registry,
-    app_source: &str,
-    spec: &OracleSpec,
-    engine: Engine,
-) -> Result<Execution, PyErr> {
-    run_app_measured_with(registry, app_source, spec, engine).0
-}
-
-/// Like [`run_app_with`], with the init-snapshot switch of
-/// [`run_app_measured_opts`].
+/// Like [`run_app`], on an explicit execution tier — the bytecode VM (the
+/// default) or the tree-walking reference interpreter — and with the
+/// init-snapshot switch of [`run_app_measured_opts`].
 ///
 /// # Errors
 ///
@@ -178,32 +177,14 @@ pub fn run_app_opts(
     run_app_measured_opts(registry, app_source, spec, engine, init_snapshots).0
 }
 
-/// Like [`run_app`], but also returns the virtual time the probe consumed
+/// [`run_app_opts`] that also returns the virtual time the run consumed
 /// regardless of success — the quantity the debloater accumulates into the
-/// per-application "debloating time" of Table 3.
-pub fn run_app_measured(
-    registry: &Registry,
-    app_source: &str,
-    spec: &OracleSpec,
-) -> (Result<Execution, PyErr>, f64) {
-    run_app_measured_with(registry, app_source, spec, Engine::default())
-}
-
-/// [`run_app_measured`] on an explicit execution tier. Both engines meter
+/// per-application "debloating time" of Table 3. Both engines meter
 /// virtual time identically (the bytecode differential pins this), so the
-/// returned measurement is engine-independent.
-pub fn run_app_measured_with(
-    registry: &Registry,
-    app_source: &str,
-    spec: &OracleSpec,
-    engine: Engine,
-) -> (Result<Execution, PyErr>, f64) {
-    run_app_measured_opts(registry, app_source, spec, engine, false)
-}
-
-/// [`run_app_measured_with`] with an init-snapshot switch: when
-/// `init_snapshots` is true, module initializations are recorded into — and
-/// replayed from — the registry family's shared
+/// measurement is engine-independent.
+///
+/// When `init_snapshots` is true, module initializations are recorded into
+/// — and replayed from — the registry family's shared
 /// [`pylite::SnapshotStore`], so repeated probes over the same import cone
 /// skip re-executing module bodies. Replay is byte-identical to live
 /// execution (the differential suites pin this), so the returned

@@ -88,7 +88,9 @@ impl TrimReport {
 ///
 /// [`TrimError::Parse`] if the application source does not parse,
 /// [`TrimError::Baseline`] if the original application fails its own oracle
-/// run — DD requires `O(P) = T` on the unmodified program.
+/// run — DD requires `O(P) = T` on the unmodified program —
+/// [`TrimError::NotEquivalent`] if the trimmed application's final oracle
+/// run differs from the baseline.
 pub fn trim_app(
     registry: &Registry,
     app_source: &str,
@@ -226,10 +228,7 @@ pub fn trim_app(
         options.init_snapshots,
     )
     .map_err(TrimError::Baseline)?;
-    debug_assert!(
-        after.behavior_eq(&before),
-        "trimmed application must be oracle-equivalent"
-    );
+    TrimError::check_equivalent(&before, &after)?;
     let debloat_secs = modules.iter().map(|m| m.debloat_secs).sum::<f64>()
         + slices.iter().map(|s| s.slice_secs).sum::<f64>();
     let oracle_invocations = modules
@@ -591,5 +590,28 @@ mod tests {
         let r = corpus();
         let report = trim_app(&r, APP, &spec(), &DebloatOptions::default()).unwrap();
         assert!(report.trimmed.total_source_bytes() <= r.total_source_bytes());
+    }
+
+    #[test]
+    fn final_check_rejects_a_non_equivalent_run() {
+        let r = corpus();
+        let before = crate::oracle::run_app(&r, APP, &spec()).unwrap();
+        assert_eq!(TrimError::check_equivalent(&before, &before), Ok(()));
+        let mut after = before.clone();
+        after.init_secs /= 2.0;
+        assert_eq!(
+            TrimError::check_equivalent(&before, &after),
+            Ok(()),
+            "timings are what trimming changes"
+        );
+        after.results.push("None".to_owned());
+        let err = TrimError::check_equivalent(&before, &after).unwrap_err();
+        assert_eq!(err, TrimError::NotEquivalent("handler results"));
+        assert!(err.to_string().contains("not oracle-equivalent"), "{err}");
+        after.stdout.push("extra".to_owned());
+        assert_eq!(
+            TrimError::check_equivalent(&before, &after),
+            Err(TrimError::NotEquivalent("stdout"))
+        );
     }
 }

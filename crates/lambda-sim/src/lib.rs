@@ -5,8 +5,10 @@
 //!
 //! * [`pricing`] — Equation (1) billing with per-platform rounding, the
 //!   128 MB minimum threshold, and SnapStart restore/cache pricing;
-//! * [`platform`] — cold/warm start lifecycle phases (Figure 1), a
-//!   keep-alive instance pool, and invocation cost/latency accounting;
+//! * [`platform`] — cold/warm start lifecycle phases (Figure 1) and
+//!   invocation cost/latency accounting;
+//! * [`pool`] — the keep-alive instance pool with provisioned concurrency
+//!   and concurrency limits, one event-driven streaming engine;
 //! * [`snapshot`] — the CRIU/SnapStart checkpoint/restore cost model (§8.6);
 //! * [`trace`] — invocation traces (Figures 13–14): a seeded synthetic
 //!   Azure-Functions-style generator with diurnal modulation, a loader for
@@ -39,14 +41,9 @@ pub mod snapshot;
 pub mod trace;
 
 pub use platform::{
-    simulate_pool, AppProfile, Invocation, PhaseBreakdown, Platform, PlatformConfig, PoolStats,
-    StartKind, StartMode,
+    AppProfile, Invocation, PhaseBreakdown, Platform, PlatformConfig, StartKind, StartMode,
 };
-pub use pool::{
-    simulate_pool_ext, simulate_pool_ext_naive_traced, simulate_pool_ext_stream_traced,
-    simulate_pool_ext_traced, try_simulate_pool_ext, try_simulate_pool_ext_traced,
-    validate_arrivals, ExtPoolStats, PoolError, PoolEvent, PoolOptions,
-};
+pub use pool::{simulate_pool_ext_stream_traced, ExtPoolStats, PoolError, PoolEvent, PoolOptions};
 pub use pricing::{PricingModel, Rounding, SnapStartPricing};
 pub use providers::{min_visible_saving_ms, providers, quote_all, Provider, ProviderQuote};
 pub use snapshot::CheckpointModel;

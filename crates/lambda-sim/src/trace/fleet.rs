@@ -12,16 +12,17 @@
 //! ([`synthesize_function`] is row-order independent): workers pull
 //! function indices from an atomic counter, synthesize the function's
 //! profile on the spot, and stream its arrivals straight through
-//! [`simulate_pool_ext_stream_traced`] once per (mode × keep-alive)
-//! variant. Memory per worker is O(live pool instances); fleet-wide state
-//! is O(functions × variants) pool-stat records plus fixed-size E2E
-//! histograms — bounded however many invocations the window holds.
+//! [`crate::pool::simulate_pool_ext_stream_traced`] once per
+//! (mode × keep-alive) variant. Memory per worker is O(live pool
+//! instances); fleet-wide state is O(functions × variants) pool-stat
+//! records plus fixed-size E2E histograms — bounded however many
+//! invocations the window holds.
 //!
-//! Determinism across worker counts follows the slotted idiom of
-//! [`super::replay_trace`]: per-function stats land in per-index slots and
-//! are aggregated in function order (f64 sums see one fixed order), and
-//! the E2E histograms are u64 counters whose merges commute. The rendered
-//! metrics are byte-identical whatever `jobs` is — pinned by tests.
+//! The worker fan-out, pricing and renderer are [`super::replay_trace`]'s
+//! (see `drive.rs`): per-function stats are aggregated in function order
+//! (f64 sums see one fixed order), and the per-worker E2E histograms are
+//! u64 counters whose merges commute. The rendered metrics are
+//! byte-identical whatever `jobs` is — pinned by tests.
 //!
 //! E2E percentiles are estimated from a log-scale histogram (60 bins per
 //! decade over 10⁻⁴–10⁶ s) rather than exact order statistics; the
@@ -30,14 +31,12 @@
 //! deciles are exact and bit-identical to what [`super::replay_trace`]
 //! reports on the materialized equivalent of the same config.
 
-use super::replay::ReplayOptions;
+use super::drive::{app_for, fan_out, render_metrics, replay_variants, variant_pools, Pricing};
+use super::replay::{ReplayOptions, VariantReport};
 use super::synthetic::{synthesize_function, SyntheticFunction, TraceConfig};
 use super::TraceError;
 use crate::metrics::percentile;
-use crate::platform::{AppProfile, Platform, StartMode};
-use crate::pool::{simulate_pool_ext_stream_traced, ExtPoolStats, PoolOptions};
-use crate::pricing::SnapStartPricing;
-use crate::providers::providers;
+use crate::platform::{Platform, StartMode};
 
 /// Number of E2E histogram bins: 60 per decade across 10 decades.
 const HIST_BINS: usize = 600;
@@ -141,59 +140,29 @@ pub struct FleetReport {
     pub variants: Vec<FleetVariantReport>,
 }
 
-fn app_for(synth: &SyntheticFunction, options: &ReplayOptions) -> AppProfile {
-    AppProfile::new(
-        synth.name.clone(),
-        options.image_mb,
-        options.init_secs,
-        synth.duration_ms / 1000.0,
-        synth.mem_mb,
-    )
-}
-
-fn variant_pools(options: &ReplayOptions, window_secs: f64) -> Vec<PoolOptions> {
-    options
-        .modes
-        .iter()
-        .flat_map(|&mode| {
-            options
-                .keep_alive_secs
-                .iter()
-                .map(move |&keep_alive_secs| (mode, keep_alive_secs))
-        })
-        .map(|(mode, keep_alive_secs)| PoolOptions {
-            keep_alive_secs,
-            mode,
-            provisioned: options.provisioned,
-            max_concurrency: options.max_concurrency,
-            window_secs,
-        })
-        .collect()
-}
-
-/// Replay one function's arrival stream under every variant, adding its
-/// E2E samples to `hists` (one histogram per variant) and returning the
-/// per-variant pool stats.
-fn replay_streamed(
-    platform: &Platform,
-    config: &TraceConfig,
-    id: usize,
-    pools: &[PoolOptions],
-    options: &ReplayOptions,
-    hists: &mut [Vec<u64>],
-) -> Vec<ExtPoolStats> {
-    let synth = synthesize_function(config, id);
-    let app = app_for(&synth, options);
-    pools
-        .iter()
-        .zip(hists.iter_mut())
-        .map(|(pool, hist)| {
-            simulate_pool_ext_stream_traced(platform, &app, synth.arrivals(), pool, |e| {
-                hist[hist_bin(e.finish - e.arrival)] += 1;
-            })
-            .expect("synthetic arrival streams are sorted and NaN-free")
-        })
-        .collect()
+impl From<&VariantReport> for FleetVariantReport {
+    /// The fixed-size summary of a variant: its cold-ratio CDF shrinks to
+    /// deciles; every other field carries over.
+    fn from(v: &VariantReport) -> Self {
+        let ratios: Vec<f64> = v.cold_ratio_cdf.iter().map(|&(r, _)| r).collect();
+        FleetVariantReport {
+            mode: v.mode,
+            keep_alive_secs: v.keep_alive_secs,
+            invocations: v.invocations,
+            cold_starts: v.cold_starts,
+            warm_starts: v.warm_starts,
+            queued_requests: v.queued_requests,
+            invocation_cost: v.invocation_cost,
+            provisioned_cost: v.provisioned_cost,
+            snapstart_cost: v.snapstart_cost,
+            snapstart_share: v.snapstart_share,
+            e2e_p50_secs: v.e2e_p50_secs,
+            e2e_p95_secs: v.e2e_p95_secs,
+            e2e_p99_secs: v.e2e_p99_secs,
+            cold_ratio_deciles: std::array::from_fn(|d| percentile(&ratios, (d + 1) as f64 * 10.0)),
+            provider_costs: v.provider_costs.clone(),
+        }
+    }
 }
 
 /// Stream-replay the synthetic fleet described by `config` under every
@@ -212,205 +181,74 @@ pub fn replay_fleet(
     options: &ReplayOptions,
 ) -> Result<FleetReport, TraceError> {
     config.validate()?;
-    let n = config.functions;
     let pools = variant_pools(options, config.window_secs);
-    let nv = pools.len();
-    let threads = options.jobs.max(1).min(n.max(1));
-
-    let mut slots: Vec<Option<Vec<ExtPoolStats>>> = Vec::new();
-    slots.resize_with(n, || None);
-    let mut hists: Vec<Vec<u64>> = vec![vec![0u64; HIST_BINS]; nv];
-    if threads <= 1 {
-        for (id, slot) in slots.iter_mut().enumerate() {
-            *slot = Some(replay_streamed(
-                platform, config, id, &pools, options, &mut hists,
-            ));
-        }
-    } else {
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let shared_slots = std::sync::Mutex::new(&mut slots);
-        let shared_hists = std::sync::Mutex::new(&mut hists);
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| {
-                    let mut local_hists: Vec<Vec<u64>> = vec![vec![0u64; HIST_BINS]; nv];
-                    loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        let stats =
-                            replay_streamed(platform, config, i, &pools, options, &mut local_hists);
-                        shared_slots.lock().expect("fleet slots poisoned")[i] = Some(stats);
-                    }
-                    // u64 histogram merges commute, so merge order (worker
-                    // finish order) cannot affect the result.
-                    let mut global = shared_hists.lock().expect("fleet hists poisoned");
-                    for (g, l) in global.iter_mut().zip(&local_hists) {
-                        for (gb, &lb) in g.iter_mut().zip(l) {
-                            *gb += lb;
-                        }
-                    }
-                });
+    let app =
+        |synth: &SyntheticFunction| app_for(&synth.name, synth.duration_ms, synth.mem_mb, options);
+    // Each worker counts E2E samples into its own histograms.
+    let (per_function, worker_hists) = fan_out(
+        config.functions,
+        options.jobs,
+        || vec![vec![0u64; HIST_BINS]; pools.len()],
+        |id, hists| {
+            let synth = synthesize_function(config, id);
+            replay_variants(
+                platform,
+                &app(&synth),
+                &pools,
+                || synth.arrivals(),
+                hists,
+                |hist: &mut Vec<u64>, secs| hist[hist_bin(secs)] += 1,
+            )
+        },
+    );
+    let mut workers = worker_hists.into_iter();
+    let mut hists = workers.next().expect("at least one worker");
+    for worker in workers {
+        for (total, local) in hists.iter_mut().zip(&worker) {
+            for (t, &l) in total.iter_mut().zip(local) {
+                *t += l;
             }
-        });
+        }
     }
 
-    // Aggregate in function order (never worker-finish order) so f64 sums
-    // are bit-identical across worker counts. Profiles are re-synthesized
-    // per function — three RNG draws, no arrivals — to price the cold/warm
-    // split, with the same formulas as `replay_trace`.
-    let snap_pricing = SnapStartPricing::default();
-    let provider_models = providers();
-    let mode_keeps: Vec<(StartMode, f64)> =
-        pools.iter().map(|p| (p.mode, p.keep_alive_secs)).collect();
-    let mut variants: Vec<FleetVariantReport> = mode_keeps
-        .iter()
-        .map(|&(mode, keep_alive_secs)| FleetVariantReport {
-            mode,
-            keep_alive_secs,
-            invocations: 0,
-            cold_starts: 0,
-            warm_starts: 0,
-            queued_requests: 0,
-            invocation_cost: 0.0,
-            provisioned_cost: 0.0,
-            snapstart_cost: 0.0,
-            snapstart_share: 0.0,
-            e2e_p50_secs: 0.0,
-            e2e_p95_secs: 0.0,
-            e2e_p99_secs: 0.0,
-            cold_ratio_deciles: [0.0; 10],
-            provider_costs: provider_models.iter().map(|p| (p.name, 0.0)).collect(),
+    // Profiles are re-synthesized per function — three RNG draws, no
+    // arrivals — to price the cold/warm split.
+    let mut pricing = Pricing::new(platform, &pools, config.window_secs);
+    for (id, stats) in per_function.iter().enumerate() {
+        pricing.add(&app(&synthesize_function(config, id)), stats);
+    }
+    let variants: Vec<FleetVariantReport> = pricing
+        .finish()
+        .into_iter()
+        .zip(&hists)
+        .map(|(mut report, hist)| {
+            // Absent percentiles (zero arrivals) render as an explicit 0.0
+            // zero-stat slot, never as NaN from an empty histogram.
+            report.e2e_p50_secs = hist_percentile(hist, 50.0).unwrap_or(0.0);
+            report.e2e_p95_secs = hist_percentile(hist, 95.0).unwrap_or(0.0);
+            report.e2e_p99_secs = hist_percentile(hist, 99.0).unwrap_or(0.0);
+            FleetVariantReport::from(&report)
         })
         .collect();
-    let mut cold_ratios: Vec<Vec<f64>> = vec![Vec::new(); nv];
-    for (id, slot) in slots.iter().enumerate() {
-        let per_variant = slot.as_ref().expect("every function produced a result");
-        let synth = synthesize_function(config, id);
-        let app = app_for(&synth, options);
-        let checkpoint = &platform.config.checkpoint;
-        for (v, (stats, report)) in per_variant.iter().zip(variants.iter_mut()).enumerate() {
-            report.invocations += stats.invocations();
-            report.cold_starts += stats.cold_starts;
-            report.warm_starts += stats.warm_starts;
-            report.queued_requests += stats.queued_requests;
-            report.invocation_cost += stats.invocation_cost;
-            report.provisioned_cost += stats.provisioned_cost;
-            if stats.invocations() > 0 {
-                cold_ratios[v].push(stats.cold_starts as f64 / stats.invocations() as f64);
-            }
-            let (snapshot_mb, cold_billable_ms) = match report.mode {
-                StartMode::Standard => (0.0, app.cold_billable_ms()),
-                StartMode::Restore => (
-                    checkpoint.snapshot_mb(app.mem_mb),
-                    (checkpoint.cr_init_secs(app.mem_mb) + app.exec_secs) * 1000.0,
-                ),
-            };
-            if report.mode == StartMode::Restore {
-                report.snapstart_cost +=
-                    snap_pricing.window_cost(snapshot_mb, config.window_secs, stats.cold_starts);
-            }
-            for (provider, total) in provider_models.iter().zip(report.provider_costs.iter_mut()) {
-                total.1 += provider.pricing.cost_for_invocations(
-                    app.mem_mb,
-                    cold_billable_ms,
-                    stats.cold_starts,
-                ) + provider.pricing.cost_for_invocations(
-                    app.mem_mb,
-                    app.warm_billable_ms(),
-                    stats.warm_starts,
-                );
-            }
-        }
-    }
-    for (v, report) in variants.iter_mut().enumerate() {
-        // Absent percentiles (zero arrivals) render as an explicit 0.0
-        // zero-stat slot, never as NaN from an empty histogram.
-        report.e2e_p50_secs = hist_percentile(&hists[v], 50.0).unwrap_or(0.0);
-        report.e2e_p95_secs = hist_percentile(&hists[v], 95.0).unwrap_or(0.0);
-        report.e2e_p99_secs = hist_percentile(&hists[v], 99.0).unwrap_or(0.0);
-        for d in 1..=10 {
-            report.cold_ratio_deciles[d - 1] = percentile(&cold_ratios[v], d as f64 * 10.0);
-        }
-        let total = report.total_cost();
-        report.snapstart_share = if total > 0.0 {
-            report.snapstart_cost / total
-        } else {
-            0.0
-        };
-    }
     let invocations = variants.first().map_or(0, |v| v.invocations);
     Ok(FleetReport {
         window_secs: config.window_secs,
-        functions: n,
+        functions: config.functions,
         invocations,
         variants,
     })
-}
-
-fn mode_name(mode: StartMode) -> &'static str {
-    match mode {
-        StartMode::Standard => "standard",
-        StartMode::Restore => "restore",
-    }
 }
 
 /// Render the deterministic metrics block of a fleet replay as a JSON
 /// string — shared by the `experiments -- replay` fleet-scaling sweep and
 /// the determinism tests (byte-identity across worker counts).
 pub fn render_fleet_metrics_json(report: &FleetReport) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!(
-        "  \"window_secs\": {},\n  \"functions\": {},\n  \"invocations\": {},\n",
-        report.window_secs, report.functions, report.invocations
-    ));
-    out.push_str("  \"variants\": [\n");
-    for (i, v) in report.variants.iter().enumerate() {
-        let deciles: Vec<String> = v
-            .cold_ratio_deciles
-            .iter()
-            .map(|d| format!("{d}"))
-            .collect();
-        let provider_costs: Vec<String> = v
-            .provider_costs
-            .iter()
-            .map(|(name, cost)| format!("\"{name}\": {cost}"))
-            .collect();
-        out.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"keep_alive_secs\": {}, \"invocations\": {}, \
-             \"cold_starts\": {}, \"warm_starts\": {}, \"queued_requests\": {}, \
-             \"cold_ratio\": {}, \"invocation_cost_usd\": {}, \"provisioned_cost_usd\": {}, \
-             \"snapstart_cost_usd\": {}, \"snapstart_share\": {}, \"total_cost_usd\": {}, \
-             \"e2e_p50_s\": {}, \"e2e_p95_s\": {}, \"e2e_p99_s\": {}, \
-             \"cold_ratio_deciles\": [{}], \"provider_cost_usd\": {{{}}}}}{}\n",
-            mode_name(v.mode),
-            v.keep_alive_secs,
-            v.invocations,
-            v.cold_starts,
-            v.warm_starts,
-            v.queued_requests,
-            v.cold_ratio(),
-            v.invocation_cost,
-            v.provisioned_cost,
-            v.snapstart_cost,
-            v.snapstart_share,
-            v.total_cost(),
-            v.e2e_p50_secs,
-            v.e2e_p95_secs,
-            v.e2e_p99_secs,
-            deciles.join(", "),
-            provider_costs.join(", "),
-            if i + 1 < report.variants.len() {
-                ","
-            } else {
-                ""
-            }
-        ));
-    }
-    out.push_str("  ]\n}");
-    out
+    render_metrics(
+        report.window_secs,
+        report.functions,
+        report.invocations,
+        &report.variants,
+    )
 }
 
 #[cfg(test)]

@@ -14,17 +14,19 @@
 //!   (heavy-tailed rates, timers, bursts) for when the dataset is absent;
 //! * [`diurnal`] — diurnal + day-of-week rate modulation shared by the
 //!   synthetic generator and anyone constructing traces programmatically;
-//! * [`replay`] — an event-driven engine replaying every function of a
-//!   [`TraceSet`] through the extended pool across start modes and
-//!   keep-alive settings, with a deterministic worker-pool fan-out;
+//! * [`replay`] — replays every function of a [`TraceSet`] through the
+//!   pool across start modes and keep-alive settings, with a deterministic
+//!   worker-pool fan-out, exact percentiles and per-function detail;
 //! * [`fleet`] — the fleet-scale variant of [`replay`]: streams synthetic
 //!   arrivals straight from the generator into the pool with bounded
-//!   memory, for 30k+-function / 10⁸+-invocation sweeps.
+//!   memory, for 30k+-function / 10⁸+-invocation sweeps. Both drivers run
+//!   on one set of helpers (fan-out, pricing, rendering) in `drive.rs`.
 //!
 //! Everything is fully seeded: the same inputs produce byte-identical
 //! traces and replay metrics whatever the worker count.
 
 pub mod diurnal;
+mod drive;
 pub mod fleet;
 pub mod loader;
 pub mod reconstruct;

@@ -1,26 +1,26 @@
 //! Event-driven trace replay: every function of a [`TraceSet`] through the
-//! extended pool, across start modes and keep-alive settings, in one pass.
+//! pool, across start modes and keep-alive settings, in one pass.
 //!
 //! This is the paper's §8.6 methodology generalized: instead of replaying a
 //! single app against one matched trace function, the engine replays the
 //! *whole* trace — each function becomes an [`crate::AppProfile`] (its
 //! dataset memory/duration columns plus configurable image/init constants)
-//! and is driven through [`crate::pool::simulate_pool_ext_traced`] once per
+//! and its arrival slice streams through
+//! [`crate::pool::simulate_pool_ext_stream_traced`] once per
 //! (StartMode × keep-alive) variant.
 //!
-//! Functions are independent, so the replay fans out over a worker pool
-//! (`jobs` threads) with the same slotted-results idiom as the corpus
-//! trimmer: workers pull function indices from an atomic counter and write
-//! into a per-function slot, then aggregation walks the slots in function
-//! order. Results are therefore **byte-identical whatever the worker
-//! count** — the acceptance bar for `BENCH_replay.json`.
+//! The fan-out, pricing and rendering are shared with
+//! [`super::replay_fleet`] (see `drive.rs`); what this driver adds is the
+//! per-function detail and exact E2E percentiles over every sample. Results
+//! are **byte-identical whatever the worker count** — the acceptance bar
+//! for `BENCH_replay.json`.
 
-use super::{ArrivalClass, TraceSet};
-use crate::metrics::{cdf, percentile};
-use crate::platform::{AppProfile, Platform, StartMode};
-use crate::pool::{simulate_pool_ext_traced, ExtPoolStats, PoolOptions};
-use crate::pricing::SnapStartPricing;
-use crate::providers::providers;
+use super::drive::{app_for, fan_out, render_metrics, replay_variants, variant_pools, Pricing};
+use super::fleet::FleetVariantReport;
+use super::{ArrivalClass, FunctionTrace, TraceSet};
+use crate::metrics::percentile;
+use crate::platform::{Platform, StartMode};
+use crate::pool::ExtPoolStats;
 
 /// Options for [`replay_trace`].
 #[derive(Debug, Clone, PartialEq)]
@@ -151,50 +151,7 @@ pub struct ReplayReport {
     pub variants: Vec<VariantReport>,
 }
 
-fn app_for(function: &super::FunctionTrace, options: &ReplayOptions) -> AppProfile {
-    AppProfile::new(
-        function.name.clone(),
-        options.image_mb,
-        options.init_secs,
-        function.duration_ms / 1000.0,
-        function.mem_mb,
-    )
-}
-
-fn replay_function(
-    platform: &Platform,
-    trace: &TraceSet,
-    function: &super::FunctionTrace,
-    options: &ReplayOptions,
-) -> FunctionReplay {
-    let app = app_for(function, options);
-    let mut variants = Vec::with_capacity(options.modes.len() * options.keep_alive_secs.len());
-    for &mode in &options.modes {
-        for &keep_alive_secs in &options.keep_alive_secs {
-            let pool = PoolOptions {
-                keep_alive_secs,
-                mode,
-                provisioned: options.provisioned,
-                max_concurrency: options.max_concurrency,
-                window_secs: trace.window_secs,
-            };
-            let mut e2e_secs = Vec::with_capacity(function.arrivals.len());
-            let stats = simulate_pool_ext_traced(platform, &app, &function.arrivals, &pool, |e| {
-                e2e_secs.push(e.finish - e.arrival)
-            });
-            variants.push(FunctionVariant { stats, e2e_secs });
-        }
-    }
-    FunctionReplay {
-        id: function.id,
-        name: function.name.clone(),
-        class: function.class,
-        invocations: function.invocations(),
-        variants,
-    }
-}
-
-/// Replay every function of `trace` through the extended pool under every
+/// Replay every function of `trace` through the pool under every
 /// (mode × keep-alive) variant of `options`, fanning the per-function work
 /// out over `options.jobs` threads. Deterministic: the report is identical
 /// whatever the worker count.
@@ -203,121 +160,60 @@ pub fn replay_trace(
     trace: &TraceSet,
     options: &ReplayOptions,
 ) -> ReplayReport {
-    let n = trace.functions.len();
-    let threads = options.jobs.max(1).min(n.max(1));
-    let functions: Vec<FunctionReplay> = if threads <= 1 {
-        trace
-            .functions
-            .iter()
-            .map(|f| replay_function(platform, trace, f, options))
-            .collect()
-    } else {
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let mut slots: Vec<Option<FunctionReplay>> = Vec::new();
-        slots.resize_with(n, || None);
-        let slots = std::sync::Mutex::new(slots);
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    let Some(function) = trace.functions.get(i) else {
-                        break;
-                    };
-                    let result = replay_function(platform, trace, function, options);
-                    slots.lock().expect("replay slots poisoned")[i] = Some(result);
-                });
-            }
-        });
-        slots
-            .into_inner()
-            .expect("replay slots poisoned")
-            .into_iter()
-            .map(|r| r.expect("every function produced a result"))
-            .collect()
+    let pools = variant_pools(options, trace.window_secs);
+    let app = |function: &FunctionTrace| {
+        app_for(
+            &function.name,
+            function.duration_ms,
+            function.mem_mb,
+            options,
+        )
     };
+    let (functions, _) = fan_out(
+        trace.functions.len(),
+        options.jobs,
+        || (),
+        |i, _| {
+            let function = &trace.functions[i];
+            let mut samples: Vec<Vec<f64>> = pools
+                .iter()
+                .map(|_| Vec::with_capacity(function.arrivals.len()))
+                .collect();
+            let stats = replay_variants(
+                platform,
+                &app(function),
+                &pools,
+                || function.arrivals.iter().copied(),
+                &mut samples,
+                |e2e: &mut Vec<f64>, secs| e2e.push(secs),
+            );
+            FunctionReplay {
+                id: function.id,
+                name: function.name.clone(),
+                class: function.class,
+                invocations: function.invocations(),
+                variants: stats
+                    .into_iter()
+                    .zip(samples)
+                    .map(|(stats, e2e_secs)| FunctionVariant { stats, e2e_secs })
+                    .collect(),
+            }
+        },
+    );
 
-    // Aggregate in function order (never reduction order), so the numbers
-    // are bit-identical across worker counts.
-    let n_variants = options.modes.len() * options.keep_alive_secs.len();
-    let snap_pricing = SnapStartPricing::default();
-    let provider_models = providers();
-    let mut variants = Vec::with_capacity(n_variants);
-    for (v, (&mode, &keep_alive_secs)) in options
-        .modes
-        .iter()
-        .flat_map(|m| options.keep_alive_secs.iter().map(move |k| (m, k)))
-        .enumerate()
-    {
-        let mut report = VariantReport {
-            mode,
-            keep_alive_secs,
-            invocations: 0,
-            cold_starts: 0,
-            warm_starts: 0,
-            queued_requests: 0,
-            invocation_cost: 0.0,
-            provisioned_cost: 0.0,
-            snapstart_cost: 0.0,
-            snapstart_share: 0.0,
-            e2e_p50_secs: 0.0,
-            e2e_p95_secs: 0.0,
-            e2e_p99_secs: 0.0,
-            cold_ratio_cdf: Vec::new(),
-            provider_costs: provider_models.iter().map(|p| (p.name, 0.0)).collect(),
-        };
-        let mut e2e_all = Vec::new();
-        let mut cold_ratios = Vec::new();
-        for (function, replay) in trace.functions.iter().zip(&functions) {
-            let fv = &replay.variants[v];
-            report.invocations += fv.stats.invocations();
-            report.cold_starts += fv.stats.cold_starts;
-            report.warm_starts += fv.stats.warm_starts;
-            report.queued_requests += fv.stats.queued_requests;
-            report.invocation_cost += fv.stats.invocation_cost;
-            report.provisioned_cost += fv.stats.provisioned_cost;
-            e2e_all.extend_from_slice(&fv.e2e_secs);
-            if fv.stats.invocations() > 0 {
-                cold_ratios.push(fv.stats.cold_starts as f64 / fv.stats.invocations() as f64);
-            }
-            let app = app_for(function, options);
-            let checkpoint = &platform.config.checkpoint;
-            let (snapshot_mb, cold_billable_ms) = match mode {
-                StartMode::Standard => (0.0, app.cold_billable_ms()),
-                StartMode::Restore => (
-                    checkpoint.snapshot_mb(app.mem_mb),
-                    (checkpoint.cr_init_secs(app.mem_mb) + app.exec_secs) * 1000.0,
-                ),
-            };
-            if mode == StartMode::Restore {
-                report.snapstart_cost +=
-                    snap_pricing.window_cost(snapshot_mb, trace.window_secs, fv.stats.cold_starts);
-            }
-            // Pool dynamics (who is cold, who queues) are pricing-agnostic,
-            // so each provider's bill follows analytically from the
-            // cold/warm split under its own rounding and memory rules.
-            for (provider, total) in provider_models.iter().zip(report.provider_costs.iter_mut()) {
-                total.1 += provider.pricing.cost_for_invocations(
-                    app.mem_mb,
-                    cold_billable_ms,
-                    fv.stats.cold_starts,
-                ) + provider.pricing.cost_for_invocations(
-                    app.mem_mb,
-                    app.warm_billable_ms(),
-                    fv.stats.warm_starts,
-                );
-            }
-        }
+    let mut pricing = Pricing::new(platform, &pools, trace.window_secs);
+    for (function, replay) in trace.functions.iter().zip(&functions) {
+        pricing.add(&app(function), replay.variants.iter().map(|v| &v.stats));
+    }
+    let mut variants = pricing.finish();
+    for (v, report) in variants.iter_mut().enumerate() {
+        let e2e_all: Vec<f64> = functions
+            .iter()
+            .flat_map(|f| f.variants[v].e2e_secs.iter().copied())
+            .collect();
         report.e2e_p50_secs = percentile(&e2e_all, 50.0);
         report.e2e_p95_secs = percentile(&e2e_all, 95.0);
         report.e2e_p99_secs = percentile(&e2e_all, 99.0);
-        report.cold_ratio_cdf = cdf(&cold_ratios);
-        let total = report.total_cost();
-        report.snapstart_share = if total > 0.0 {
-            report.snapstart_cost / total
-        } else {
-            0.0
-        };
-        variants.push(report);
     }
     ReplayReport {
         window_secs: trace.window_secs,
@@ -326,78 +222,23 @@ pub fn replay_trace(
     }
 }
 
-fn mode_name(mode: StartMode) -> &'static str {
-    match mode {
-        StartMode::Standard => "standard",
-        StartMode::Restore => "restore",
-    }
-}
-
 /// Render the deterministic metrics block of a replay as a JSON string —
 /// shared by `experiments -- replay` (which embeds it in
 /// `BENCH_replay.json`) and the tier-1 golden-fixture test (which asserts
-/// byte-identity across runs and worker counts). Only replay-derived
-/// numbers appear here; harness-variable fields (throughput, host) live
-/// outside this block.
+/// byte-identity across runs and worker counts). The block has the same
+/// shape as [`super::render_fleet_metrics_json`]'s.
 pub fn render_metrics_json(report: &ReplayReport) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!(
-        "  \"window_secs\": {},\n  \"functions\": {},\n  \"invocations\": {},\n",
+    let variants: Vec<FleetVariantReport> = report
+        .variants
+        .iter()
+        .map(FleetVariantReport::from)
+        .collect();
+    render_metrics(
         report.window_secs,
         report.functions.len(),
-        report
-            .functions
-            .iter()
-            .map(|f| f.invocations)
-            .sum::<usize>()
-    ));
-    out.push_str("  \"variants\": [\n");
-    for (i, v) in report.variants.iter().enumerate() {
-        let deciles: Vec<String> = (1..=10)
-            .map(|d| {
-                let ratios: Vec<f64> = v.cold_ratio_cdf.iter().map(|&(r, _)| r).collect();
-                format!("{}", percentile(&ratios, d as f64 * 10.0))
-            })
-            .collect();
-        let provider_costs: Vec<String> = v
-            .provider_costs
-            .iter()
-            .map(|(name, cost)| format!("\"{name}\": {cost}"))
-            .collect();
-        out.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"keep_alive_secs\": {}, \"invocations\": {}, \
-             \"cold_starts\": {}, \"warm_starts\": {}, \"queued_requests\": {}, \
-             \"cold_ratio\": {}, \"invocation_cost_usd\": {}, \"provisioned_cost_usd\": {}, \
-             \"snapstart_cost_usd\": {}, \"snapstart_share\": {}, \"total_cost_usd\": {}, \
-             \"e2e_p50_s\": {}, \"e2e_p95_s\": {}, \"e2e_p99_s\": {}, \
-             \"cold_ratio_deciles\": [{}], \"provider_cost_usd\": {{{}}}}}{}\n",
-            mode_name(v.mode),
-            v.keep_alive_secs,
-            v.invocations,
-            v.cold_starts,
-            v.warm_starts,
-            v.queued_requests,
-            v.cold_ratio(),
-            v.invocation_cost,
-            v.provisioned_cost,
-            v.snapstart_cost,
-            v.snapstart_share,
-            v.total_cost(),
-            v.e2e_p50_secs,
-            v.e2e_p95_secs,
-            v.e2e_p99_secs,
-            deciles.join(", "),
-            provider_costs.join(", "),
-            if i + 1 < report.variants.len() {
-                ","
-            } else {
-                ""
-            }
-        ));
-    }
-    out.push_str("  ]\n}");
-    out
+        report.functions.iter().map(|f| f.invocations as u64).sum(),
+        &variants,
+    )
 }
 
 #[cfg(test)]

@@ -6,9 +6,26 @@
 //! ```
 
 use lambda_sim::{
-    generate_trace, simulate_pool, AppProfile, CheckpointModel, Platform, PricingModel,
-    SnapStartPricing, StartMode, TraceConfig,
+    generate_trace, simulate_pool_ext_stream_traced, AppProfile, CheckpointModel, ExtPoolStats,
+    Platform, PoolOptions, PricingModel, SnapStartPricing, StartMode, TraceConfig,
 };
+
+/// The basic keep-alive pool over `arrivals`.
+fn simulate(
+    platform: &Platform,
+    app: &AppProfile,
+    arrivals: &[f64],
+    keep_alive_secs: f64,
+    mode: StartMode,
+) -> ExtPoolStats {
+    let options = PoolOptions {
+        keep_alive_secs,
+        mode,
+        ..PoolOptions::default()
+    };
+    simulate_pool_ext_stream_traced(platform, app, arrivals.iter().copied(), &options, |_| {})
+        .expect("trace arrivals are sorted")
+}
 
 fn main() {
     // -- Equation (1): pricing anatomy -----------------------------------
@@ -58,13 +75,13 @@ fn main() {
     );
     println!("  keep-alive   cold starts   cold %   total cost $");
     for (label, ka) in [("1 min", 60.0), ("15 min", 900.0), ("60 min", 3600.0)] {
-        let stats = simulate_pool(&platform, &app, arrivals, ka, StartMode::Standard);
+        let stats = simulate(&platform, &app, arrivals, ka, StartMode::Standard);
         println!(
             "  {:<11} {:>11} {:>7.1}% {:>14.6}",
             label,
             stats.cold_starts,
-            stats.cold_fraction() * 100.0,
-            stats.total_cost
+            stats.cold_starts as f64 / stats.invocations().max(1) as f64 * 100.0,
+            stats.invocation_cost
         );
     }
 
@@ -72,15 +89,15 @@ fn main() {
     let ckpt = CheckpointModel::default();
     let snap = SnapStartPricing::default();
     println!("\nSnapStart trade-off for the same function, 15 min keep-alive:");
-    let stats = simulate_pool(&platform, &app, arrivals, 900.0, StartMode::Restore);
+    let stats = simulate(&platform, &app, arrivals, 900.0, StartMode::Restore);
     let snapshot_mb = ckpt.snapshot_mb(app.mem_mb);
     let cache = snap.cache_cost(snapshot_mb, 24.0 * 3600.0);
     let restores = snap.restore_cost(snapshot_mb) * stats.cold_starts as f64;
     println!(
         "  snapshot {snapshot_mb:.0} MB | invocation cost ${:.6} | cache ${cache:.6} | restores ${restores:.6}",
-        stats.total_cost
+        stats.invocation_cost
     );
-    let share = (cache + restores) / (stats.total_cost + cache + restores) * 100.0;
+    let share = (cache + restores) / (stats.invocation_cost + cache + restores) * 100.0;
     println!(
         "  SnapStart overhead = {share:.0}% of the total bill — the paper's Figure 13 point: \
          \n  C/R support often costs more than running the function."

@@ -194,6 +194,27 @@ impl Args {
         self.flags.iter().any(|f| f == key)
     }
 
+    /// Reject any `--key` (option or bare flag) that is not in `known`,
+    /// naming the valid ones, so a misspelled option fails instead of
+    /// silently falling back to its default.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the first unknown option and listing `known`.
+    pub fn check_known(&self, command: &str, known: &[&str]) -> Result<(), String> {
+        let keys = self.options.iter().map(|(k, _)| k).chain(&self.flags);
+        match keys.into_iter().find(|k| !known.contains(&k.as_str())) {
+            None => Ok(()),
+            Some(unknown) => {
+                let valid: Vec<String> = known.iter().map(|k| format!("--{k}")).collect();
+                Err(format!(
+                    "unknown option `--{unknown}` for `{command}`; valid options: {}",
+                    valid.join(", ")
+                ))
+            }
+        }
+    }
+
     /// Required option, with a readable error.
     ///
     /// # Errors
@@ -298,6 +319,21 @@ mod tests {
         assert_eq!(args.get("k"), Some("5"));
         assert!(args.has_flag("wrap"));
         assert!(args.require("missing").is_err());
+    }
+
+    #[test]
+    fn unknown_options_are_rejected() {
+        let args = Args::parse(
+            ["trim", "--app", "a.py", "--wrap", "--k", "5"]
+                .iter()
+                .map(|s| (*s).to_owned()),
+        );
+        assert!(args.check_known("trim", &["app", "wrap", "k"]).is_ok());
+        let err = args
+            .check_known("trim", &["app", "k"])
+            .expect_err("`--wrap` is not in the list");
+        assert!(err.contains("unknown option `--wrap` for `trim`"), "{err}");
+        assert!(err.contains("--app, --k"), "{err}");
     }
 
     #[test]

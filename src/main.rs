@@ -40,7 +40,6 @@ trim:
     --out <DIR>         output directory for trimmed packages
     --k <N>             modules to debloat                [default: 20]
     --scoring <M>       combined|time|memory|random      [default: combined]
-    --threads <N>       parallel DD probe workers         [default: 1]
     --jobs <N>          parallel static-analysis workers  [default: 1]
     --algorithm <A>     ddmin|greedy                      [default: ddmin]
     --engine <E>        oracle execution tier: vm|tree    [default: vm]
@@ -104,6 +103,44 @@ fn main() -> ExitCode {
     }
 }
 
+/// Options every app-loading command takes.
+const COMMON_OPTIONS: [&str; 3] = ["app", "packages", "handler"];
+const TRIM_OPTIONS: [&str; 10] = [
+    "oracle",
+    "out",
+    "k",
+    "scoring",
+    "jobs",
+    "algorithm",
+    "engine",
+    "no-slice",
+    "wrap",
+    "ic-stats",
+];
+const PROFILE_OPTIONS: [&str; 2] = ["k", "scoring"];
+const ANALYZE_OPTIONS: [&str; 3] = ["jobs", "hazards", "json"];
+const RUN_OPTIONS: [&str; 2] = ["event", "context"];
+const SIMULATE_OPTIONS: [&str; 12] = [
+    "trace",
+    "functions",
+    "window-secs",
+    "seed",
+    "flat",
+    "keep-alive",
+    "modes",
+    "max-concurrency",
+    "provisioned",
+    "jobs",
+    "stream",
+    "out",
+];
+
+/// Reject options outside `COMMON_OPTIONS` plus `extra` for `command`.
+fn check_app_options(args: &Args, command: &str, extra: &[&str]) -> Result<(), String> {
+    let known: Vec<&str> = COMMON_OPTIONS.iter().chain(extra).copied().collect();
+    args.check_known(command, &known)
+}
+
 fn load_inputs(args: &Args) -> Result<(pylite::Registry, String, String), String> {
     let app_path = args.require("app")?;
     let packages = args.require("packages")?;
@@ -122,11 +159,6 @@ fn debloat_options(args: &Args) -> Result<DebloatOptions, String> {
     }
     if let Some(s) = args.get("scoring") {
         options.scoring = parse_scoring(s)?;
-    }
-    if let Some(t) = args.get("threads") {
-        options.threads = t
-            .parse()
-            .map_err(|_| format!("bad --threads value `{t}`"))?;
     }
     options.jobs = analysis_jobs(args)?;
     if let Some(a) = args.get("algorithm") {
@@ -149,11 +181,6 @@ fn debloat_options(args: &Args) -> Result<DebloatOptions, String> {
     if args.has_flag("no-slice") {
         options.slice_init = false;
     }
-    if options.threads > 1 && matches!(options.algorithm, trim_core::Algorithm::Greedy) {
-        return Err(
-            "--algorithm greedy is sequential; drop --threads or use --algorithm ddmin".to_owned(),
-        );
-    }
     Ok(options)
 }
 
@@ -169,6 +196,7 @@ fn analysis_jobs(args: &Args) -> Result<usize, String> {
 }
 
 fn cmd_trim(args: &Args) -> Result<(), String> {
+    check_app_options(args, "trim", &TRIM_OPTIONS)?;
     let (registry, app_source, handler) = load_inputs(args)?;
     let oracle_path = args.require("oracle")?;
     let out_dir = args.require("out")?;
@@ -271,6 +299,7 @@ fn ic_stats_section(
 }
 
 fn cmd_profile(args: &Args) -> Result<(), String> {
+    check_app_options(args, "profile", &PROFILE_OPTIONS)?;
     let (registry, app_source, _) = load_inputs(args)?;
     let options = debloat_options(args)?;
     let profile = trim_profiler::profile_app(&app_source, &registry).map_err(|e| e.to_string())?;
@@ -296,6 +325,7 @@ fn cmd_profile(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_analyze(args: &Args) -> Result<(), String> {
+    check_app_options(args, "analyze", &ANALYZE_OPTIONS)?;
     let (registry, app_source, handler) = load_inputs(args)?;
     let jobs = analysis_jobs(args)?;
     let program = pylite::parse(&app_source).map_err(|e| e.to_string())?;
@@ -442,6 +472,7 @@ fn json_string(s: &str) -> String {
 }
 
 fn cmd_run(args: &Args) -> Result<(), String> {
+    check_app_options(args, "run", &RUN_OPTIONS)?;
     let (registry, app_source, handler) = load_inputs(args)?;
     let event = args.get("event").unwrap_or("{}").to_owned();
     let context = args.get("context").unwrap_or("None").to_owned();
@@ -466,6 +497,7 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
     use lambda_sim::{
         DiurnalProfile, Platform, ReplayOptions, StartMode, TraceConfig, TraceSource,
     };
+    args.check_known("simulate", &SIMULATE_OPTIONS)?;
 
     let parse_num = |flag: &str, default: f64| -> Result<f64, String> {
         match args.get(flag) {
@@ -564,10 +596,7 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
     ) {
         println!(
             "{:<10} {:>12.0} {:>12.4} {:>10} {:>8.3} {:>10.3} {:>10.3} {:>12.6}",
-            match mode {
-                StartMode::Standard => "standard",
-                StartMode::Restore => "restore",
-            },
+            mode.name(),
             keep_alive_secs,
             cold_ratio,
             queued,
@@ -661,16 +690,54 @@ mod tests {
     }
 
     #[test]
-    fn greedy_with_threads_is_rejected_up_front() {
-        let err = debloat_options(&args(&["--algorithm", "greedy", "--threads", "4"]))
-            .expect_err("greedy cannot use parallel probe workers");
-        assert!(err.contains("greedy"), "{err}");
+    fn removed_threads_flag_is_rejected() {
+        let err = cmd_trim(&args(&["trim", "--app", "a.py", "--threads", "4"]))
+            .expect_err("DD is sequential; --threads no longer exists");
+        assert!(
+            err.contains("unknown option `--threads` for `trim`"),
+            "{err}"
+        );
+        assert!(
+            err.contains("--algorithm"),
+            "lists the valid options: {err}"
+        );
     }
 
     #[test]
-    fn greedy_sequential_and_parallel_ddmin_are_accepted() {
+    fn greedy_and_ddmin_algorithms_are_accepted() {
         assert!(debloat_options(&args(&["--algorithm", "greedy"])).is_ok());
-        assert!(debloat_options(&args(&["--algorithm", "ddmin", "--threads", "4"])).is_ok());
+        assert!(debloat_options(&args(&["--algorithm", "ddmin"])).is_ok());
+        let err = debloat_options(&args(&["--algorithm", "bisect"])).expect_err("unknown");
+        assert!(err.contains("expected ddmin|greedy"), "{err}");
+    }
+
+    #[test]
+    fn misspelled_options_are_rejected_per_command() {
+        let err = cmd_simulate(&args(&[
+            "simulate",
+            "--functions",
+            "5",
+            "--window-secs",
+            "600",
+            "--keep-alvie",
+            "5",
+            "--thraeds",
+            "9",
+        ]))
+        .expect_err("a misspelled option must not fall back to its default");
+        assert!(err.contains("unknown option `--keep-alvie`"), "{err}");
+        assert!(
+            err.contains("--keep-alive"),
+            "lists the valid options: {err}"
+        );
+        // Each command checks against its own list: `--stream` belongs to
+        // `simulate`, not `analyze`.
+        let err = cmd_analyze(&args(&["analyze", "--app", "a.py", "--stream"]))
+            .expect_err("simulate-only option");
+        assert!(
+            err.contains("unknown option `--stream` for `analyze`"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -147,16 +147,18 @@ fn extended_pool_composes_with_trimmed_profiles() {
         report.after.mem_mb,
     );
     let arrivals: Vec<f64> = (0..30).map(|i| i as f64 * 120.0).collect();
-    let stats = lambda_sim::simulate_pool_ext(
+    let stats = lambda_sim::simulate_pool_ext_stream_traced(
         &platform,
         &profile,
-        &arrivals,
+        arrivals.iter().copied(),
         &lambda_sim::PoolOptions {
             provisioned: 1,
             max_concurrency: Some(4),
             ..lambda_sim::PoolOptions::default()
         },
-    );
+        |_| {},
+    )
+    .expect("sorted arrivals");
     assert_eq!(stats.invocations(), 30);
     assert_eq!(
         stats.cold_starts, 0,

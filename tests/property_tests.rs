@@ -7,6 +7,9 @@
 //! is exercised over a fixed-seed stream of generated cases.
 #![cfg(feature = "property-tests")]
 
+mod naive_pool;
+
+use naive_pool::{event_pool, naive_pool};
 use std::collections::BTreeSet;
 use trim_dd::{ddmin, is_one_minimal};
 use trim_rng::Rng;
@@ -248,7 +251,7 @@ fn random_arrivals(rng: &mut Rng) -> Vec<f64> {
     arrivals
 }
 
-/// `simulate_pool_ext` never runs more than `max_concurrency` requests at
+/// The pool never runs more than `max_concurrency` requests at
 /// any instant, over randomized arrival sets, caps, and app profiles
 /// (the concurrency-accounting bugfix's acceptance property).
 #[test]
@@ -271,15 +274,15 @@ fn ext_pool_never_exceeds_concurrency_cap() {
             provisioned: rng.usize_inclusive(0, 2).min(cap),
             ..lambda_sim::PoolOptions::default()
         };
-        let mut deltas: Vec<(f64, i64)> = Vec::new();
-        let stats =
-            lambda_sim::simulate_pool_ext_traced(&platform, &app, &arrivals, &options, |e| {
-                assert!(e.start >= e.arrival, "dispatch cannot precede arrival");
-                assert!(e.finish > e.start, "execution takes time");
-                deltas.push((e.start, 1));
-                deltas.push((e.finish, -1));
-            });
+        let (stats, events) = event_pool(&platform, &app, &arrivals, &options);
         assert_eq!(stats.invocations() as usize, arrivals.len());
+        let mut deltas: Vec<(f64, i64)> = Vec::new();
+        for e in &events {
+            assert!(e.start >= e.arrival, "dispatch cannot precede arrival");
+            assert!(e.finish > e.start, "execution takes time");
+            deltas.push((e.start, 1));
+            deltas.push((e.finish, -1));
+        }
         // Sweep: at equal timestamps, releases (-1) before claims (+1).
         deltas.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         let (mut cur, mut peak) = (0i64, 0i64);
@@ -297,61 +300,22 @@ fn ext_pool_never_exceeds_concurrency_cap() {
     }
 }
 
-/// With provisioned/cap features off, the extended pool is exactly the
-/// basic keep-alive pool — over random (not just evenly spaced) arrivals.
-#[test]
-fn ext_pool_matches_basic_pool_on_random_arrivals() {
-    let platform = lambda_sim::Platform::default();
-    let mut rng = Rng::seed_from_u64(0xd1ff);
-    for _ in 0..CASES {
-        let arrivals = random_arrivals(&mut rng);
-        let keep_alive = rng.f64() * 1200.0;
-        let mode = if rng.bool() {
-            lambda_sim::StartMode::Standard
-        } else {
-            lambda_sim::StartMode::Restore
-        };
-        let app = lambda_sim::AppProfile::new(
-            "prop",
-            rng.f64() * 500.0,
-            rng.f64() * 3.0,
-            0.01 + rng.f64() * 30.0,
-            64.0 + rng.f64() * 1024.0,
-        );
-        let basic = lambda_sim::simulate_pool(&platform, &app, &arrivals, keep_alive, mode);
-        let ext = lambda_sim::simulate_pool_ext(
-            &platform,
-            &app,
-            &arrivals,
-            &lambda_sim::PoolOptions {
-                keep_alive_secs: keep_alive,
-                mode,
-                provisioned: 0,
-                max_concurrency: None,
-                ..lambda_sim::PoolOptions::default()
-            },
-        );
-        assert_eq!(basic.cold_starts, ext.cold_starts);
-        assert_eq!(basic.warm_starts, ext.warm_starts);
-        assert_eq!(ext.queued_requests, 0);
-        assert!((basic.total_cost - ext.invocation_cost).abs() < 1e-12);
-        assert!((basic.total_e2e_secs - ext.total_e2e_secs).abs() < 1e-9);
-    }
-}
-
-/// The event-driven pool engine is byte-identical to the retained naive
-/// oracle — ExtPoolStats and the full traced PoolEvent stream — over
-/// randomized bursty workloads spanning provisioned instances, concurrency
-/// caps (including `Some(0)` and `Some(1)`), zero keep-alive, and both
-/// start modes. The instantaneous concurrency of the event engine must
-/// also respect the cap.
+/// The event-driven pool engine is byte-identical to the reference engine
+/// in `naive_pool` — ExtPoolStats and the full traced PoolEvent stream —
+/// over randomized bursty workloads spanning provisioned instances,
+/// concurrency caps (including `Some(0)` and `Some(1)`), zero keep-alive,
+/// and both start modes. Every fourth case runs the paper's basic
+/// keep-alive pool (`provisioned = 0`, `max_concurrency = None`). The
+/// instantaneous concurrency of the event engine must also respect the cap.
 #[test]
 fn event_pool_engine_matches_naive_oracle_on_random_workloads() {
     let platform = lambda_sim::Platform::default();
     let mut rng = Rng::seed_from_u64(0xeb9_0a5e);
     for case in 0..CASES {
+        let basic = case % 4 == 0;
         let arrivals = random_arrivals(&mut rng);
         let cap = match rng.usize_inclusive(0, 3) {
+            _ if basic => None,
             0 => None,
             1 => Some(rng.usize_inclusive(0, 1)),
             _ => Some(rng.usize_inclusive(2, 8)),
@@ -370,7 +334,7 @@ fn event_pool_engine_matches_naive_oracle_on_random_workloads() {
                 rng.f64() * 900.0
             },
             max_concurrency: cap,
-            provisioned: rng.usize_inclusive(0, 3),
+            provisioned: if basic { 0 } else { rng.usize_inclusive(0, 3) },
             mode: if rng.bool() {
                 lambda_sim::StartMode::Standard
             } else {
@@ -378,22 +342,23 @@ fn event_pool_engine_matches_naive_oracle_on_random_workloads() {
             },
             ..lambda_sim::PoolOptions::default()
         };
-        let mut naive_events = Vec::new();
-        let naive =
-            lambda_sim::simulate_pool_ext_naive_traced(&platform, &app, &arrivals, &options, |e| {
-                naive_events.push(e)
-            });
-        let mut event_events = Vec::new();
-        let mut deltas: Vec<(f64, i64)> = Vec::new();
-        let event =
-            lambda_sim::simulate_pool_ext_traced(&platform, &app, &arrivals, &options, |e| {
-                deltas.push((e.start, 1));
-                deltas.push((e.finish, -1));
-                event_events.push(e);
-            });
+        let (naive, naive_events) = naive_pool(&platform, &app, &arrivals, &options);
+        let (event, event_events) = event_pool(&platform, &app, &arrivals, &options);
         assert_eq!(naive, event, "case {case}: stats diverged");
         assert_eq!(naive_events, event_events, "case {case}: events diverged");
+        if basic {
+            assert_eq!(
+                event.queued_requests, 0,
+                "case {case}: uncapped pool queued"
+            );
+            assert_eq!(event.provisioned_cost, 0.0);
+        }
         if let Some(cap) = cap {
+            let mut deltas: Vec<(f64, i64)> = Vec::new();
+            for e in &event_events {
+                deltas.push((e.start, 1));
+                deltas.push((e.finish, -1));
+            }
             deltas.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
             let (mut cur, mut peak) = (0i64, 0i64);
             for (_, d) in &deltas {

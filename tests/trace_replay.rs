@@ -5,17 +5,20 @@
 //! across worker counts.
 //!
 //! Also pins the event-driven pool engine byte-identical (stats + traced
-//! events) to the retained naive oracle across the fixture, the streaming
+//! events) to the reference engine in `naive_pool` across the fixture, the streaming
 //! synthetic generator byte-identical to the materialized path (including
 //! diurnal/weekend thinning and the timer exemption), and the streamed
 //! fleet replay deterministic across `--jobs` ∈ {1, 2, 8}.
 
+mod naive_pool;
+
 use lambda_sim::trace::replay::render_metrics_json;
 use lambda_sim::{
     generate_trace, load_trace_csv, render_fleet_metrics_json, replay_fleet, replay_trace,
-    simulate_pool_ext_naive_traced, simulate_pool_ext_traced, synthesize_function, AppProfile,
-    ArrivalClass, DiurnalProfile, Platform, PoolOptions, ReplayOptions, TraceConfig, TraceSource,
+    synthesize_function, AppProfile, ArrivalClass, DiurnalProfile, Platform, PoolOptions,
+    ReplayOptions, TraceConfig, TraceSource,
 };
+use naive_pool::{event_pool, naive_pool};
 
 const FIXTURE: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -98,7 +101,7 @@ fn golden_fixture_replay_is_deterministic_across_runs_and_jobs() {
 fn event_engine_matches_naive_oracle_on_golden_fixture() {
     // The tentpole differential: the event-driven engine must be
     // byte-identical — ExtPoolStats and the full PoolEvent stream — to the
-    // retained naive engine on every fixture function, under uncapped,
+    // reference engine on every fixture function, under uncapped,
     // capped, and provisioned pools.
     let platform = Platform::default();
     let trace = load_trace_csv(FIXTURE, SEED).expect("fixture parses");
@@ -123,15 +126,8 @@ fn event_engine_matches_naive_oracle_on_golden_fixture() {
                 window_secs: trace.window_secs,
                 ..PoolOptions::default()
             };
-            let mut naive_events = Vec::new();
-            let naive =
-                simulate_pool_ext_naive_traced(&platform, &app, &function.arrivals, &pool, |e| {
-                    naive_events.push(e)
-                });
-            let mut event_events = Vec::new();
-            let event = simulate_pool_ext_traced(&platform, &app, &function.arrivals, &pool, |e| {
-                event_events.push(e)
-            });
+            let (naive, naive_events) = naive_pool(&platform, &app, &function.arrivals, &pool);
+            let (event, event_events) = event_pool(&platform, &app, &function.arrivals, &pool);
             assert_eq!(naive, event, "{}: stats diverged", function.name);
             assert_eq!(
                 naive_events, event_events,
