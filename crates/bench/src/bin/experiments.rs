@@ -1133,27 +1133,6 @@ fn measure_engines(bench: &trim_apps::BenchApp, budget: std::time::Duration) -> 
     (tree[tree.len() / 2], vm[vm.len() / 2])
 }
 
-/// One instrumented VM oracle run: inline-cache `(hits, misses)` summed
-/// over live-handler and module-init lookups across every
-/// generation-checked attribute site. Snapshots are off here, so folding
-/// the two phases back together keeps the historical bench metric.
-fn ic_totals_for(bench: &trim_apps::BenchApp) -> (u64, u64) {
-    let mut it = pylite::Interpreter::new(bench.registry.clone());
-    it.engine = pylite::Engine::Vm;
-    it.enable_ic_stats();
-    it.exec_main(&bench.app_source)
-        .unwrap_or_else(|e| panic!("{} init failed: {e}", bench.name));
-    for case in &bench.spec.cases {
-        let event = trim_core::oracle::parse_literal(&case.event).expect("literal event");
-        let context = trim_core::oracle::parse_literal(&case.context).expect("literal context");
-        it.call_handler(&bench.spec.handler, event, context)
-            .unwrap_or_else(|e| panic!("{} handler failed: {e}", bench.name));
-    }
-    let (live_h, live_m) = it.ic_totals();
-    let (init_h, init_m) = it.ic_init_totals();
-    (live_h + init_h, live_m + init_m)
-}
-
 fn vm_bench() {
     banner("VM tier — wall-clock per oracle run, bytecode VM vs tree-walker");
     let budget_ms = std::env::var("LT_BENCH_BUDGET_MS")
@@ -1162,8 +1141,8 @@ fn vm_bench() {
         .unwrap_or(300u64);
     let budget = std::time::Duration::from_millis(budget_ms);
     println!(
-        "{:<18} {:>12} {:>12} {:>8} {:>12} {:>8}",
-        "application", "tree ns", "vm ns", "speedup", "ic hit/miss", "hit%"
+        "{:<18} {:>12} {:>12} {:>8}",
+        "application", "tree ns", "vm ns", "speedup"
     );
     let mut rows = Vec::new();
     let mut log_sum = 0.0f64;
@@ -1174,22 +1153,13 @@ fn vm_bench() {
         let speedup = tree_ns as f64 / vm_ns as f64;
         log_sum += speedup.ln();
         min_speedup = min_speedup.min(speedup);
-        let (hits, misses) = ic_totals_for(bench);
-        let hit_rate = hits as f64 / (hits + misses).max(1) as f64;
         println!(
-            "{:<18} {:>12} {:>12} {:>7.2}x {:>6}/{:<5} {:>7.1}%",
-            bench.name,
-            tree_ns,
-            vm_ns,
-            speedup,
-            hits,
-            misses,
-            hit_rate * 100.0
+            "{:<18} {:>12} {:>12} {:>7.2}x",
+            bench.name, tree_ns, vm_ns, speedup
         );
         rows.push(format!(
             "    {{\"app\": \"{}\", \"tree_ns\": {tree_ns}, \"vm_ns\": {vm_ns}, \
-             \"speedup\": {speedup:.2}, \"ic_hits\": {hits}, \"ic_misses\": {misses}, \
-             \"ic_hit_rate\": {hit_rate:.4}}}",
+             \"speedup\": {speedup:.2}}}",
             bench.name
         ));
     }

@@ -207,6 +207,38 @@ pub fn debloat_module(
     must_keep: &BTreeSet<String>,
     options: &DebloatOptions,
 ) -> Result<ModuleReport, TrimError> {
+    let hints = KeepHints {
+        must_keep,
+        seed: None,
+    };
+    debloat_module_seeded(work, app_source, spec, expected, module, hints, options)
+        .map(|(report, _)| report)
+}
+
+/// What is known about a module's kept set before its DD run.
+pub(crate) struct KeepHints<'a> {
+    /// Excluded from the search and always retained: the static analyzer's
+    /// definitely-accessed set plus any pinned hazard attributes.
+    pub must_keep: &'a BTreeSet<String>,
+    /// The attributes a previous run kept (§9 continuous debloating).
+    pub seed: Option<&'a BTreeSet<String>>,
+}
+
+/// [`debloat_module`] with an optional seed. A seeded run first probes
+/// `(seed ∩ candidates) ∪ must_keep`; if that passes, DD searches only
+/// inside the seed, otherwise over every candidate. The seed probe counts
+/// in the report's `dd_stats.oracle_invocations`. Also returns whether the
+/// seed probe passed (`false` without a seed).
+pub(crate) fn debloat_module_seeded(
+    work: &mut Registry,
+    app_source: &str,
+    spec: &OracleSpec,
+    expected: &Execution,
+    module: &str,
+    hints: KeepHints<'_>,
+    options: &DebloatOptions,
+) -> Result<(ModuleReport, bool), TrimError> {
+    let must_keep = hints.must_keep;
     let program = work.parse_module(module).map_err(TrimError::Parse)?;
     let attrs = module_attributes(&program);
     let attrs_before = attrs.len();
@@ -217,7 +249,7 @@ pub fn debloat_module(
         .filter(|a| must_keep.contains(*a))
         .cloned()
         .collect();
-    let candidates: Vec<String> = attrs
+    let mut candidates: Vec<String> = attrs
         .iter()
         .filter(|a| !must_keep.contains(*a))
         .cloned()
@@ -262,13 +294,25 @@ pub fn debloat_module(
         verdict
     };
 
+    let mut seed_ok = false;
+    if let Some(seed) = hints.seed {
+        let inside: Vec<String> = candidates
+            .iter()
+            .filter(|a| seed.contains(*a))
+            .cloned()
+            .collect();
+        seed_ok = oracle(&inside);
+        if seed_ok {
+            candidates = inside;
+        }
+    }
     let dd_result = match options.algorithm {
         Algorithm::Ddmin => ddmin_with(&candidates, &mut oracle, options.dd),
         Algorithm::Greedy => greedy_min(&candidates, &mut oracle),
     };
 
     let debloat_secs = spent_nanos as f64 / 1e9;
-    match dd_result {
+    let mut report = match dd_result {
         Ok(result) => {
             let survivors: BTreeSet<String> = result.minimized.iter().cloned().collect();
             let keep: BTreeSet<String> = fixed.iter().cloned().chain(survivors).collect();
@@ -289,27 +333,12 @@ pub fn debloat_module(
             let committed_ok = matches!(&verify, Ok(actual) if actual.behavior_eq(expected));
             if !committed_ok {
                 work.set_module(module, original_source);
-                return Ok(ModuleReport {
-                    module: module.to_owned(),
-                    attrs_before,
-                    attrs_after: attrs_before,
-                    removed: Vec::new(),
-                    kept: attrs,
-                    dd_stats: result.stats,
-                    debloat_secs: debloat_secs + verify_secs,
-                });
             }
-            let kept: Vec<String> = attrs
-                .iter()
-                .filter(|a| keep.contains(*a))
-                .cloned()
-                .collect();
-            let removed: Vec<String> = attrs
-                .iter()
-                .filter(|a| !keep.contains(*a))
-                .cloned()
-                .collect();
-            Ok(ModuleReport {
+            // A failed commit was rolled back: everything survives.
+            let survives = |a: &&String| !committed_ok || keep.contains(*a);
+            let kept: Vec<String> = attrs.iter().filter(survives).cloned().collect();
+            let removed: Vec<String> = attrs.iter().filter(|a| !survives(a)).cloned().collect();
+            ModuleReport {
                 module: module.to_owned(),
                 attrs_before,
                 attrs_after: kept.len(),
@@ -317,12 +346,12 @@ pub fn debloat_module(
                 kept,
                 dd_stats: result.stats,
                 debloat_secs: debloat_secs + verify_secs,
-            })
+            }
         }
         Err(trim_dd::DdError::OracleRejectsWhole) => {
             // The untouched module somehow fails — leave it alone (§5.4's
             // philosophy: never make the app worse).
-            Ok(ModuleReport {
+            ModuleReport {
                 module: module.to_owned(),
                 attrs_before,
                 attrs_after: attrs_before,
@@ -330,9 +359,11 @@ pub fn debloat_module(
                 kept: attrs,
                 dd_stats: DdStats::default(),
                 debloat_secs,
-            })
+            }
         }
-    }
+    };
+    report.dd_stats.oracle_invocations += u64::from(hints.seed.is_some());
+    Ok((report, seed_ok))
 }
 
 #[cfg(test)]

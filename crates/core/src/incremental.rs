@@ -7,24 +7,21 @@
 //! mechanism. This pipeline will make use of logs collected during the
 //! initial debloating to drive the subsequent debloating more efficiently."
 //!
-//! The mechanism here: for each module, first probe the *previous* kept
-//! set (intersected with the module's current attributes). If the app still
-//! behaves correctly with it, ddmin only has to search inside that —
-//! usually tiny — set instead of the full attribute list. If the seed fails
-//! (the update needs something that was previously trimmed, or the oracle
-//! grew), fall back to the full search.
+//! A retrim is the cold pipeline ([`crate::trim_app`]) with one hint: for
+//! each module the profiler targets, DD first probes the *previous* kept
+//! set (intersected with the module's current candidates, plus must-keep).
+//! If the app still behaves correctly with it, DD only has to search inside
+//! that — usually tiny — set instead of the full attribute list. If the
+//! seed fails (the update needs something that was previously trimmed, or
+//! the oracle grew), DD searches the full list. Targets, hazard routing,
+//! pins, slicing and the final equivalence check are the cold pipeline's.
 
-use crate::attributes::module_attributes;
-use crate::debloater::{DebloatOptions, ModuleReport};
-use crate::oracle::{run_app_measured_opts, run_app_opts, Execution, OracleSpec};
-use crate::pipeline::TrimReport;
-use crate::probe_cache::{app_fingerprint, ProbeKey};
-use crate::rewrite::rewrite_module;
-use crate::slicer::{slice_modules, SliceReport};
+use crate::debloater::DebloatOptions;
+use crate::oracle::OracleSpec;
+use crate::pipeline::{trim_seeded, TrimReport};
 use crate::TrimError;
 use pylite::Registry;
 use std::collections::{BTreeMap, BTreeSet};
-use trim_dd::{ddmin_with, DdStats};
 
 /// The debloating log of a previous run: per-module kept attribute sets.
 /// This is the §9 "log collected during the initial debloating".
@@ -56,54 +53,30 @@ impl TrimLog {
     }
 }
 
-/// Result of an incremental run, with seed-effectiveness accounting.
-#[derive(Debug, Clone, PartialEq)]
-pub struct IncrementalReport {
-    /// The underlying trim results per module.
-    pub modules: Vec<ModuleReport>,
-    /// Baseline behavior of the (possibly updated) original application.
-    pub before: Execution,
-    /// Behavior of the trimmed application.
-    pub after: Execution,
-    /// The trimmed registry.
-    pub trimmed: Registry,
-    /// Modules where the previous kept set seeded the search successfully.
-    pub seeded_modules: usize,
-    /// Modules that required a full (cold) search.
-    pub cold_modules: usize,
-    /// Total oracle invocations (compare with a cold run to see savings).
-    pub oracle_invocations: u64,
-    /// Per-module selective-init slice results, matching the cold
-    /// pipeline's pass. Empty when [`DebloatOptions::slice_init`] is off.
-    pub slices: Vec<SliceReport>,
-}
+/// The result of a seeded retrim: a [`TrimReport`] whose
+/// [`TrimReport::seeded_modules`] and [`TrimReport::cold_modules`] count
+/// how well the log seeded the search.
+pub type IncrementalReport = TrimReport;
 
-impl IncrementalReport {
-    /// The updated log, to persist for the next round.
+impl TrimReport {
+    /// The updated log, to persist for the next round (the same as
+    /// [`TrimLog::from_report`]).
     pub fn log(&self) -> TrimLog {
-        TrimLog {
-            kept: self
-                .modules
-                .iter()
-                .map(|m| (m.module.clone(), m.kept.iter().cloned().collect()))
-                .collect(),
-        }
+        TrimLog::from_report(self)
     }
 }
 
 /// Re-debloat an application seeded by a previous [`TrimLog`].
 ///
-/// The module list is taken from the log (the modules the previous run
-/// chose via profiling); new modules the app imports but the log has never
-/// seen are *not* debloated here — run the full pipeline when the import
-/// set changes materially.
+/// This runs the same pipeline as [`crate::trim_app`]: targets come from
+/// the profiler, and hazard routing, pins, slicing and the final
+/// equivalence check all apply. The log only seeds each target's DD search
+/// (see the module docs); a target the log has no entry for is searched
+/// in full, and log entries for modules that are not targets are ignored.
 ///
 /// # Errors
 ///
-/// [`TrimError::Baseline`] if the updated application fails its oracle run,
-/// [`TrimError::Parse`] if a logged module no longer parses,
-/// [`TrimError::NotEquivalent`] if the retrimmed application's final oracle
-/// run differs from the baseline.
+/// The same as [`crate::trim_app`].
 pub fn retrim_with_log(
     registry: &Registry,
     app_source: &str,
@@ -111,228 +84,7 @@ pub fn retrim_with_log(
     log: &TrimLog,
     options: &DebloatOptions,
 ) -> Result<IncrementalReport, TrimError> {
-    if options.jobs == 0 {
-        return Err(TrimError::Config(
-            "analysis jobs must be at least 1".to_owned(),
-        ));
-    }
-    let before = run_app_opts(
-        registry,
-        app_source,
-        spec,
-        options.engine,
-        options.init_snapshots,
-    )
-    .map_err(TrimError::Baseline)?;
-    let app_program = pylite::parse(app_source).map_err(TrimError::Parse)?;
-    // Retrims are where the summary cache earns its keep: sharing one cache
-    // across runs means only the edited modules' reverse-dependency cone is
-    // re-analyzed, and the per-module recomputations below start as hits.
-    let summaries = options
-        .summary_cache
-        .clone()
-        .unwrap_or_else(trim_analysis::summary::SummaryCache::shared);
-    let analysis_options = trim_analysis::AnalysisOptions {
-        mode: trim_analysis::AnalysisMode::Interprocedural,
-        entry: None,
-        jobs: options.jobs,
-        summary_cache: Some(summaries),
-    };
-    let full = trim_analysis::analyze_full(&app_program, registry, &analysis_options);
-    let analysis = &full.analysis;
-    let app_fp = app_fingerprint(app_source, spec);
-
-    let mut work = registry.clone();
-    let mut modules = Vec::new();
-    let mut seeded_modules = 0;
-    let mut cold_modules = 0;
-    let mut oracle_invocations = 0;
-    for (module, prev_kept) in &log.kept {
-        if !work.contains(module) {
-            continue;
-        }
-        let program = work.parse_module(module).map_err(TrimError::Parse)?;
-        let attrs = module_attributes(&program);
-        let attr_set: BTreeSet<String> = attrs.iter().cloned().collect();
-        // Same recompute-on-work rule as the cold pipeline: committed trims
-        // release the must-keeps their import lines induced.
-        let must_keep = match options.analysis {
-            trim_analysis::AnalysisMode::AppOnly => analysis.accessed_attrs(module),
-            trim_analysis::AnalysisMode::Interprocedural => {
-                trim_analysis::analyze_full(&app_program, &work, &analysis_options)
-                    .analysis
-                    .accessed_attrs(module)
-            }
-        };
-
-        // Probe the seed: previous kept set ∩ current attrs ∪ must-keep.
-        let seed: BTreeSet<String> = prev_kept
-            .intersection(&attr_set)
-            .cloned()
-            .chain(must_keep.iter().cloned())
-            .collect();
-        // A retrim probe is keyed exactly like a cold-pipeline probe: same
-        // base-registry fingerprint, app fingerprint, module and keep-set.
-        // An untouched module therefore answers its probes straight from a
-        // shared [`crate::ProbeCache`] populated by the previous run.
-        let probe = |keep: &BTreeSet<String>, base: &Registry| -> (bool, f64) {
-            let key = options
-                .probe_cache
-                .as_ref()
-                .map(|_| ProbeKey::new(base.fingerprint(), app_fp, module, keep.iter().cloned()));
-            if let (Some(cache), Some(key)) = (&options.probe_cache, &key) {
-                if let Some(verdict) = cache.get(key) {
-                    return (verdict, 0.0);
-                }
-            }
-            let rewritten = rewrite_module(&program, keep);
-            let candidate = base.with_module(module, pylite::unparse(&rewritten));
-            let (result, secs) = run_app_measured_opts(
-                &candidate,
-                app_source,
-                spec,
-                options.engine,
-                options.init_snapshots,
-            );
-            let ok = match result {
-                Ok(actual) => actual.behavior_eq(&before),
-                Err(_) => false,
-            };
-            if let (Some(cache), Some(key)) = (&options.probe_cache, key) {
-                cache.insert(key, ok);
-            }
-            (ok, secs)
-        };
-        let (seed_ok, _) = probe(&seed, &work);
-        oracle_invocations += 1;
-
-        let (candidates, fixed): (Vec<String>, Vec<String>) = if seed_ok {
-            seeded_modules += 1;
-            // Search only inside the seed (minus must-keep).
-            (
-                attrs
-                    .iter()
-                    .filter(|a| seed.contains(*a) && !must_keep.contains(*a))
-                    .cloned()
-                    .collect(),
-                attrs
-                    .iter()
-                    .filter(|a| must_keep.contains(*a))
-                    .cloned()
-                    .collect(),
-            )
-        } else {
-            cold_modules += 1;
-            (
-                attrs
-                    .iter()
-                    .filter(|a| !must_keep.contains(*a))
-                    .cloned()
-                    .collect(),
-                attrs
-                    .iter()
-                    .filter(|a| must_keep.contains(*a))
-                    .cloned()
-                    .collect(),
-            )
-        };
-
-        let mut spent = 0.0f64;
-        let mut oracle = |subset: &[String]| {
-            let keep: BTreeSet<String> = fixed
-                .iter()
-                .cloned()
-                .chain(subset.iter().cloned())
-                .collect();
-            let (ok, secs) = probe(&keep, &work);
-            spent += secs;
-            ok
-        };
-        let dd_result = ddmin_with(&candidates, &mut oracle, options.dd);
-        match dd_result {
-            Ok(result) => {
-                let keep: BTreeSet<String> = fixed
-                    .iter()
-                    .cloned()
-                    .chain(result.minimized.iter().cloned())
-                    .collect();
-                let rewritten = rewrite_module(&program, &keep);
-                work.set_module(module, pylite::unparse(&rewritten));
-                let kept: Vec<String> = attrs
-                    .iter()
-                    .filter(|a| keep.contains(*a))
-                    .cloned()
-                    .collect();
-                let removed: Vec<String> = attrs
-                    .iter()
-                    .filter(|a| !keep.contains(*a))
-                    .cloned()
-                    .collect();
-                oracle_invocations += result.stats.oracle_invocations;
-                modules.push(ModuleReport {
-                    module: module.clone(),
-                    attrs_before: attrs.len(),
-                    attrs_after: kept.len(),
-                    removed,
-                    kept,
-                    dd_stats: result.stats,
-                    debloat_secs: spent,
-                });
-            }
-            Err(trim_dd::DdError::OracleRejectsWhole) => {
-                // Even the full attribute set fails under this candidate
-                // path — leave the module untouched.
-                modules.push(ModuleReport {
-                    module: module.clone(),
-                    attrs_before: attrs.len(),
-                    attrs_after: attrs.len(),
-                    removed: Vec::new(),
-                    kept: attrs,
-                    dd_stats: DdStats::default(),
-                    debloat_secs: spent,
-                });
-            }
-        }
-    }
-    // Mirror the cold pipeline's selective-init slicing pass so an
-    // incremental retrim converges to the same deployment as a from-scratch
-    // trim of the same inputs.
-    let slices = if options.slice_init {
-        let candidates: Vec<String> = modules.iter().map(|m| m.module.clone()).collect();
-        let hazard_set: BTreeSet<String> = full.hazard_attrs.keys().cloned().collect();
-        let slices = slice_modules(
-            &mut work,
-            app_source,
-            spec,
-            &before,
-            &candidates,
-            &hazard_set,
-            options,
-        )?;
-        oracle_invocations += slices.iter().map(|s| s.oracle_invocations).sum::<u64>();
-        slices
-    } else {
-        Vec::new()
-    };
-    let after = run_app_opts(
-        &work,
-        app_source,
-        spec,
-        options.engine,
-        options.init_snapshots,
-    )
-    .map_err(TrimError::Baseline)?;
-    TrimError::check_equivalent(&before, &after)?;
-    Ok(IncrementalReport {
-        modules,
-        before,
-        after,
-        trimmed: work,
-        seeded_modules,
-        cold_modules,
-        oracle_invocations,
-        slices,
-    })
+    trim_seeded(registry, app_source, spec, options, Some(log))
 }
 
 #[cfg(test)]
@@ -394,51 +146,131 @@ mod tests {
             warm.trimmed.source("toolkit"),
             cold.trimmed.source("toolkit")
         );
+        // The seed probe is counted in its module's DD stats, so both entry
+        // points account for probes the same way.
+        assert_eq!((cold.seeded_modules, cold.cold_modules), (0, 0));
+        for r in [&cold, &warm] {
+            let dd: u64 = r
+                .modules
+                .iter()
+                .map(|m| m.dd_stats.oracle_invocations)
+                .sum();
+            let sliced: u64 = r.slices.iter().map(|s| s.oracle_invocations).sum();
+            assert_eq!(r.oracle_invocations, dd + sliced);
+        }
     }
+
+    /// [`registry`] plus `pick`, which reaches `delta` only for small
+    /// inputs: v1's oracle never sends one, so a cold trim drops `delta`.
+    fn pick_registry() -> Registry {
+        let mut reg = registry();
+        let patched = format!(
+            "{}def pick(x):\n    if x < 2:\n        return delta(x)\n    return alpha(x)\n",
+            reg.source("toolkit").unwrap()
+        );
+        reg.set_module("toolkit", patched);
+        reg
+    }
+
+    const PICK_APP: &str =
+        "import toolkit\ndef handler(event, context):\n    return toolkit.pick(event[\"n\"])\n";
 
     #[test]
     fn update_needing_trimmed_attr_falls_back_to_full_search() {
-        let cold = trim_app(&registry(), APP_V1, &spec(), &DebloatOptions::default()).unwrap();
-        let log = TrimLog::from_report(&cold);
-        // v2 uses beta, which v1's log removed: the seed probe fails and a
-        // full search runs — but the result must be correct.
-        let warm = retrim_with_log(
-            &registry(),
-            APP_V2,
-            &spec(),
-            &log,
-            &DebloatOptions::default(),
-        )
-        .unwrap();
+        let options = DebloatOptions::default();
+        let cold = trim_app(&registry(), APP_V1, &spec(), &options).unwrap();
+        // v2 reads beta, which v1's log removed. The analyzer sees the new
+        // read, so must-keep puts beta back into the seed and it passes.
+        let warm = retrim_with_log(&registry(), APP_V2, &spec(), &cold.log(), &options).unwrap();
         assert!(warm.after.behavior_eq(&warm.before));
-        let kept = warm.log();
-        let toolkit = kept.kept.get("toolkit").unwrap();
+        assert_eq!((warm.seeded_modules, warm.cold_modules), (1, 0));
+        let toolkit = &warm.log().kept["toolkit"];
         assert!(toolkit.contains("alpha"));
         assert!(toolkit.contains("beta"));
         assert!(!toolkit.contains("gamma"));
+
+        // A new oracle input needs `delta`, which only the library reaches:
+        // the seed probe fails and DD searches the full candidate list.
+        let reg = pick_registry();
+        let cold = trim_app(&reg, PICK_APP, &spec(), &options).unwrap();
+        assert!(!cold.log().kept["toolkit"].contains("delta"));
+        let mut spec2 = spec();
+        spec2.cases.push(TestCase::event("{\"n\": 1}"));
+        let warm = retrim_with_log(&reg, PICK_APP, &spec2, &cold.log(), &options).unwrap();
+        assert_eq!((warm.seeded_modules, warm.cold_modules), (0, 1));
+        assert!(warm.log().kept["toolkit"].contains("delta"));
+        assert!(warm.after.behavior_eq(&warm.before));
     }
 
     #[test]
     fn fallback_notifications_extend_the_log() {
-        let cold = trim_app(&registry(), APP_V1, &spec(), &DebloatOptions::default()).unwrap();
-        let mut log = TrimLog::from_report(&cold);
+        let reg = pick_registry();
+        let options = DebloatOptions::default();
+        let mut log = trim_app(&reg, PICK_APP, &spec(), &options).unwrap().log();
         // A production fallback reported that `delta` was needed.
         log.require("toolkit", "delta");
-        let warm = retrim_with_log(
-            &registry(),
-            APP_V1,
-            &spec(),
-            &log,
-            &DebloatOptions::default(),
-        )
-        .unwrap();
-        // The seed includes delta, but DD inside the seed can still remove
-        // it because the oracle set does not exercise it — §5.4's workflow
+        // The seed includes delta, but DD inside the seed still removes it
+        // while the oracle set does not exercise it: §5.4's workflow
         // requires adding the failing *input*, not just the attribute.
-        // With the input added, delta survives:
+        let warm = retrim_with_log(&reg, PICK_APP, &spec(), &log, &options).unwrap();
+        assert!(!warm.log().kept["toolkit"].contains("delta"));
+        // With the input added, delta survives.
         let mut spec2 = spec();
         spec2.cases.push(TestCase::event("{\"n\": 1}"));
+        let warm = retrim_with_log(&reg, PICK_APP, &spec2, &log, &options).unwrap();
+        assert!(warm.log().kept["toolkit"].contains("delta"));
+        assert_eq!(warm.seeded_modules, 1, "the extended log seeds the search");
         assert!(warm.after.behavior_eq(&warm.before));
+    }
+
+    /// A library of ten interchangeable functions `a0`..`a9`.
+    fn lib_registry() -> Registry {
+        let mut src = String::from("__lt_work__(40)\n");
+        for i in 0..10 {
+            src.push_str(&format!("def a{i}(x):\n    return x + {i}\n"));
+        }
+        let mut r = Registry::new();
+        r.set_module("lib", src);
+        r
+    }
+
+    const LIB_V1: &str =
+        "import lib\ndef handler(event, context):\n    return lib.a0(event[\"n\"])\n";
+
+    #[test]
+    fn retrim_pins_a_bounded_getattr_added_by_an_edit() {
+        let reg = lib_registry();
+        let options = DebloatOptions::default();
+        let log = trim_app(&reg, LIB_V1, &spec(), &options).unwrap().log();
+        assert_eq!(log.kept["lib"], BTreeSet::from(["a0".to_owned()]));
+        // Only `a5` runs under the oracle, but `a7` is reachable too.
+        let v2 = "import lib\ndef handler(event, context):\n    key = \"a5\" if event[\"n\"] > 0 else \"a7\"\n    return lib.a0(event[\"n\"]) + getattr(lib, key)(event[\"n\"])\n";
+        let cold = trim_app(&reg, v2, &spec(), &options).unwrap();
+        let warm = retrim_with_log(&reg, v2, &spec(), &log, &options).unwrap();
+        let pins = BTreeSet::from(["a5".to_owned(), "a7".to_owned()]);
+        assert_eq!(cold.pinned_hazard_attrs.get("lib"), Some(&pins));
+        assert_eq!(warm.pinned_hazard_attrs, cold.pinned_hazard_attrs);
+        let kept = &warm.log().kept["lib"];
+        assert!(pins.is_subset(kept), "pinned attributes kept: {kept:?}");
+        assert_eq!(warm.trimmed.source("lib"), cold.trimmed.source("lib"));
+    }
+
+    #[test]
+    fn retrim_falls_back_on_an_unbounded_getattr_added_by_an_edit() {
+        let reg = lib_registry();
+        let options = DebloatOptions::default();
+        let log = trim_app(&reg, LIB_V1, &spec(), &options).unwrap().log();
+        let v2 = "import lib\ndef handler(event, context):\n    if \"x\" in event:\n        return getattr(lib, event[\"x\"])(1)\n    return lib.a0(event[\"n\"])\n";
+        let cold = trim_app(&reg, v2, &spec(), &options).unwrap();
+        let warm = retrim_with_log(&reg, v2, &spec(), &log, &options).unwrap();
+        assert_eq!(cold.fallback_modules, vec!["lib".to_owned()]);
+        assert_eq!(warm.fallback_modules, cold.fallback_modules);
+        assert_eq!(
+            warm.trimmed.source("lib"),
+            reg.source("lib"),
+            "the fallback module deploys untouched"
+        );
+        assert!(warm.modules.is_empty(), "no DD run for the fallback module");
     }
 
     #[test]

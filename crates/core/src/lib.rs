@@ -17,6 +17,8 @@
 //! * [`debloater`] — per-module Delta Debugging with probe isolation (§6.3);
 //! * [`slicer`] — statement-level selective-init slicing of kept modules;
 //! * [`pipeline`] — the full analyzer → profiler → debloater flow;
+//! * [`incremental`] — §9 continuous debloating: that flow with each DD
+//!   search seeded by a previous run's log;
 //! * [`fallback`] — the AttributeError-catching deployment wrapper (§5.4).
 //!
 //! # Example

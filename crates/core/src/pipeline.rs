@@ -1,7 +1,10 @@
 //! The end-to-end λ-trim pipeline (§4, Figure 3): static analyzer →
 //! cost profiler → DD debloater, producing a deployable trimmed registry.
 
-use crate::debloater::{debloat_module, DebloatOptions, HazardMode, ModuleReport};
+use crate::debloater::{
+    debloat_module_seeded, DebloatOptions, HazardMode, KeepHints, ModuleReport,
+};
+use crate::incremental::TrimLog;
 use crate::oracle::{run_app_opts, Execution, OracleSpec};
 use crate::slicer::{slice_modules, SliceReport};
 use crate::TrimError;
@@ -41,6 +44,13 @@ pub struct TrimReport {
     /// Per-module selective-init slice results (statements kept/total),
     /// in debloat order. Empty when [`DebloatOptions::slice_init`] is off.
     pub slices: Vec<SliceReport>,
+    /// Seeded retrims only: DD-debloated modules whose previous kept set
+    /// still passed, so DD searched only inside it. 0 from [`trim_app`].
+    pub seeded_modules: usize,
+    /// Seeded retrims only: DD-debloated modules searched in full, because
+    /// the log had no entry for them or their seed probe failed. 0 from
+    /// [`trim_app`].
+    pub cold_modules: usize,
 }
 
 impl TrimReport {
@@ -96,6 +106,20 @@ pub fn trim_app(
     app_source: &str,
     spec: &OracleSpec,
     options: &DebloatOptions,
+) -> Result<TrimReport, TrimError> {
+    trim_seeded(registry, app_source, spec, options, None)
+}
+
+/// The pipeline behind both [`trim_app`] (`log = None`) and
+/// [`crate::retrim_with_log`]. A log only seeds each target's DD search
+/// with the attributes the previous run kept; every other stage is the
+/// same.
+pub(crate) fn trim_seeded(
+    registry: &Registry,
+    app_source: &str,
+    spec: &OracleSpec,
+    options: &DebloatOptions,
+    log: Option<&TrimLog>,
 ) -> Result<TrimReport, TrimError> {
     if options.jobs == 0 {
         return Err(TrimError::Config(
@@ -163,6 +187,7 @@ pub fn trim_app(
     let mut modules = Vec::with_capacity(targets.len());
     let mut fallback_modules = Vec::new();
     let mut pinned_hazard_attrs: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
+    let (mut seeded_modules, mut cold_modules) = (0, 0);
     for module in &targets {
         let pinned: Option<BTreeSet<String>> = match full.hazard_attrs.get(module) {
             None => None,
@@ -193,9 +218,19 @@ pub fn trim_app(
             must_keep.extend(attrs.iter().cloned());
             pinned_hazard_attrs.insert(module.clone(), attrs);
         }
-        let report = debloat_module(
-            &mut work, app_source, spec, &before, module, &must_keep, options,
-        )?;
+        let hints = KeepHints {
+            must_keep: &must_keep,
+            seed: log.and_then(|log| log.kept.get(module)),
+        };
+        let (report, seeded) =
+            debloat_module_seeded(&mut work, app_source, spec, &before, module, hints, options)?;
+        if log.is_some() {
+            if seeded {
+                seeded_modules += 1;
+            } else {
+                cold_modules += 1;
+            }
+        }
         modules.push(report);
     }
 
@@ -247,6 +282,8 @@ pub fn trim_app(
         fallback_modules,
         pinned_hazard_attrs,
         slices,
+        seeded_modules,
+        cold_modules,
     })
 }
 

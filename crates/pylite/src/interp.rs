@@ -200,29 +200,6 @@ pub enum Engine {
     Tree,
 }
 
-/// Hit/miss counters for one `mod.attr` inline-cache site (see
-/// [`Interpreter::enable_ic_stats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IcSiteStats {
-    /// Lookups served from a valid cache entry.
-    pub hits: u64,
-    /// Lookups that fell back to the namespace (cold site, generation
-    /// bump, or a different module behind the same site).
-    pub misses: u64,
-}
-
-/// Inline-cache counters split by execution phase. Replayed init
-/// snapshots never reach `attr_lookup`, so folding init-frame lookups
-/// into one total would make hit rates depend on whether
-/// `init_snapshots` is on; live-frame counters are replay-invariant.
-#[derive(Debug, Default)]
-struct IcStatsRecorder {
-    /// Per-site counters for live (handler) execution: `import_depth == 0`.
-    live: HashMap<u32, IcSiteStats, SymbolHashBuilder>,
-    /// Aggregate counters for module-init execution: `import_depth > 0`.
-    init: IcSiteStats,
-}
-
 /// Default per-run step budget (statements). Debloated candidate programs
 /// can in pathological cases loop forever; the budget turns that into a
 /// deterministic [`ExcKind::ResourceExhausted`] failure the oracle rejects.
@@ -260,7 +237,6 @@ pub struct Interpreter {
     syms: CommonSyms,
     native_syms: NativeSyms,
     ics: HashMap<u32, IcEntry, SymbolHashBuilder>,
-    ic_stats: Option<IcStatsRecorder>,
     /// Recycled VM frames: nested bytecode calls pop a frame here instead
     /// of allocating fresh operand-stack/iterator vectors per invocation.
     pub(crate) vm_frames: Vec<crate::bytecode::VmFrame>,
@@ -323,7 +299,6 @@ impl Interpreter {
             syms,
             native_syms,
             ics: HashMap::default(),
-            ic_stats: None,
             vm_frames: Vec::new(),
             snap: None,
         }
@@ -338,47 +313,6 @@ impl Interpreter {
     pub fn enable_init_snapshots(&mut self) {
         if self.snap.is_none() {
             self.snap = Some(Box::new(SnapRecorder::new()));
-        }
-    }
-
-    /// Turn on per-site inline-cache hit/miss counting. Off by default:
-    /// the counters cost a branch plus a hash update per `mod.attr` read,
-    /// so only benchmarking harnesses should enable them.
-    pub fn enable_ic_stats(&mut self) {
-        self.ic_stats = Some(IcStatsRecorder::default());
-    }
-
-    /// Per-site inline-cache counters for live (handler) execution, if
-    /// enabled. Keys are the resolved-IR attribute-site ids shared by
-    /// both engines. Lookups made while a module init is on the import
-    /// stack are excluded — see [`Interpreter::ic_init_totals`].
-    pub fn ic_site_stats(&self) -> Option<&HashMap<u32, IcSiteStats, SymbolHashBuilder>> {
-        self.ic_stats.as_ref().map(|s| &s.live)
-    }
-
-    /// Total live-execution inline-cache `(hits, misses)` across all
-    /// sites (zeros when counting is disabled). Invariant under init-
-    /// snapshot replay: replayed inits skip `attr_lookup` entirely, so
-    /// only counting `import_depth == 0` frames keeps replay-on and
-    /// replay-off totals equal on the same live work.
-    pub fn ic_totals(&self) -> (u64, u64) {
-        match &self.ic_stats {
-            None => (0, 0),
-            Some(stats) => stats
-                .live
-                .values()
-                .fold((0, 0), |(h, m), s| (h + s.hits, m + s.misses)),
-        }
-    }
-
-    /// Aggregate inline-cache `(hits, misses)` incurred during module
-    /// initialization (`import_depth > 0`); zeros when counting is
-    /// disabled. Reported separately because init-snapshot replay
-    /// legitimately drives this to zero.
-    pub fn ic_init_totals(&self) -> (u64, u64) {
-        match &self.ic_stats {
-            None => (0, 0),
-            Some(stats) => (stats.init.hits, stats.init.misses),
         }
     }
 
@@ -1940,22 +1874,7 @@ impl Interpreter {
                 if let Some(site) = site {
                     if let Some(entry) = self.ics.get(&site) {
                         if entry.generation == generation && entry.ns.same(&m.ns) {
-                            let value = entry.value.clone();
-                            if let Some(stats) = &mut self.ic_stats {
-                                if self.import_depth == 0 {
-                                    stats.live.entry(site).or_default().hits += 1;
-                                } else {
-                                    stats.init.hits += 1;
-                                }
-                            }
-                            return Ok(value);
-                        }
-                    }
-                    if let Some(stats) = &mut self.ic_stats {
-                        if self.import_depth == 0 {
-                            stats.live.entry(site).or_default().misses += 1;
-                        } else {
-                            stats.init.misses += 1;
+                            return Ok(entry.value.clone());
                         }
                     }
                 }
@@ -3708,42 +3627,5 @@ print(isinstance(B(), A))
         tree.exec_main(src).expect("tree run");
         assert!(r.snapshot_store().stats().hits >= 1);
         assert_same_observables(&vm, &tree);
-    }
-
-    #[test]
-    fn ic_live_totals_agree_replay_on_vs_replay_off() {
-        // Replayed inits skip `attr_lookup` entirely; only the live/init
-        // split keeps `ic_totals` comparable across snapshot modes.
-        let mut r = Registry::new();
-        r.set_module("util", "X = 1\n");
-        r.set_module("lib", "import util\na = util.X\nb = util.X\nc = util.X\n");
-        let src = "import lib\n\ndef handler(event, context):\n    return lib.a + lib.b\n";
-        let run = |snapshots: bool| {
-            let mut it = Interpreter::new(r.clone());
-            if snapshots {
-                it.enable_init_snapshots();
-            }
-            it.enable_ic_stats();
-            it.exec_main(src).expect("program runs");
-            for _ in 0..2 {
-                it.call_handler("handler", Value::None, Value::None)
-                    .expect("handler runs");
-            }
-            (it.ic_totals(), it.ic_init_totals())
-        };
-        let (live_off, init_off) = run(false);
-        let _capture = run(true);
-        let (live_on, init_on) = run(true);
-        assert!(
-            r.snapshot_store().stats().hits >= 1,
-            "third run replays lib's init"
-        );
-        assert!(live_off.0 + live_off.1 > 0, "handlers exercise IC sites");
-        assert!(init_off.0 + init_off.1 > 0, "lib's init exercises IC sites");
-        assert_eq!(
-            live_on, live_off,
-            "live totals are invariant under init replay"
-        );
-        assert_eq!(init_on, (0, 0), "replayed init never reaches the caches");
     }
 }

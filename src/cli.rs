@@ -334,6 +334,19 @@ mod tests {
             .expect_err("`--wrap` is not in the list");
         assert!(err.contains("unknown option `--wrap` for `trim`"), "{err}");
         assert!(err.contains("--app, --k"), "{err}");
+        // A removed flag, such as `trim --ic-stats`, is just as unknown.
+        let args = Args::parse(
+            ["trim", "--app", "a.py", "--ic-stats"]
+                .iter()
+                .map(|s| (*s).to_owned()),
+        );
+        let err = args
+            .check_known("trim", &["app", "k"])
+            .expect_err("`--ic-stats` is not in the list");
+        assert!(
+            err.contains("unknown option `--ic-stats` for `trim`"),
+            "{err}"
+        );
     }
 
     #[test]

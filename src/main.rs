@@ -46,8 +46,6 @@ trim:
     --no-slice          skip statement-level selective-init slicing of kept
                         modules (on by default; every slice is oracle-verified)
     --wrap              append the fallback wrapper to the app output
-    --ic-stats          run the trimmed app once on the VM with inline-cache
-                        counters and append per-site hit/miss rates to REPORT.txt
 
 profile:
     --k <N>             how many rows to print            [default: 20]
@@ -105,7 +103,7 @@ fn main() -> ExitCode {
 
 /// Options every app-loading command takes.
 const COMMON_OPTIONS: [&str; 3] = ["app", "packages", "handler"];
-const TRIM_OPTIONS: [&str; 10] = [
+const TRIM_OPTIONS: [&str; 9] = [
     "oracle",
     "out",
     "k",
@@ -115,7 +113,6 @@ const TRIM_OPTIONS: [&str; 10] = [
     "engine",
     "no-slice",
     "wrap",
-    "ic-stats",
 ];
 const PROFILE_OPTIONS: [&str; 2] = ["k", "scoring"];
 const ANALYZE_OPTIONS: [&str; 3] = ["jobs", "hazards", "json"];
@@ -226,76 +223,11 @@ fn cmd_trim(args: &Args) -> Result<(), String> {
     let mut report_text = trim_core::render_report(&report);
     report_text.push('\n');
     report_text.push_str(&trim_core::render_removals(&report));
-    if args.has_flag("ic-stats") {
-        report_text.push('\n');
-        report_text.push_str(&ic_stats_section(&report.trimmed, &app_source, &spec)?);
-    }
     std::fs::write(out.join("REPORT.txt"), &report_text).map_err(|e| e.to_string())?;
 
     print!("{report_text}");
     println!("trimmed packages written to {out_dir}/ (app: {out_dir}/app.py, report: {out_dir}/REPORT.txt)");
     Ok(())
-}
-
-/// One instrumented VM pass over the trimmed application — init plus every
-/// oracle case — rendered as the per-site inline-cache section that
-/// `trim --ic-stats` appends to REPORT.txt. Sites are the resolved-IR
-/// attribute-access ids shared by both engines; rows sort by lookup volume
-/// so the hottest `mod.attr` sites lead. Live-handler and module-init
-/// lookups report separately: replayed init snapshots skip the caches
-/// entirely, so a combined total would swing with `init_snapshots`.
-fn ic_stats_section(
-    trimmed: &pylite::Registry,
-    app_source: &str,
-    spec: &trim_core::OracleSpec,
-) -> Result<String, String> {
-    let mut interp = pylite::Interpreter::new(trimmed.clone());
-    interp.engine = pylite::Engine::Vm;
-    interp.enable_ic_stats();
-    interp
-        .exec_main(app_source)
-        .map_err(|e| format!("--ic-stats init run failed: {e}"))?;
-    for case in &spec.cases {
-        let event = trim_core::oracle::parse_literal(&case.event).map_err(|e| e.to_string())?;
-        let context = trim_core::oracle::parse_literal(&case.context).map_err(|e| e.to_string())?;
-        interp
-            .call_handler(&spec.handler, event, context)
-            .map_err(|e| format!("--ic-stats handler run failed: {e}"))?;
-    }
-    let stats = interp.ic_site_stats().expect("ic stats were enabled");
-    let mut rows: Vec<(u32, u64, u64)> = stats
-        .iter()
-        .map(|(site, s)| (*site, s.hits, s.misses))
-        .collect();
-    rows.sort_by_key(|&(site, h, m)| (std::cmp::Reverse(h + m), site));
-    let pct = |h: u64, total: u64| {
-        if total == 0 {
-            0.0
-        } else {
-            100.0 * h as f64 / total as f64
-        }
-    };
-    let (hits, misses) = interp.ic_totals();
-    let (init_hits, init_misses) = interp.ic_init_totals();
-    let mut out = String::new();
-    out.push_str("inline-cache sites (vm engine, trimmed registry):\n");
-    out.push_str(&format!(
-        "  live:  {hits} hit / {misses} miss ({:.1}% hit rate over {} site{})\n",
-        pct(hits, hits + misses),
-        rows.len(),
-        if rows.len() == 1 { "" } else { "s" }
-    ));
-    out.push_str(&format!(
-        "  init:  {init_hits} hit / {init_misses} miss ({:.1}% hit rate; zero when init replays from snapshots)\n",
-        pct(init_hits, init_hits + init_misses),
-    ));
-    for (site, h, m) in rows {
-        out.push_str(&format!(
-            "  site {site:>4}: {h:>8} hit {m:>8} miss  {:>5.1}% hit rate\n",
-            pct(h, h + m)
-        ));
-    }
-    Ok(out)
 }
 
 fn cmd_profile(args: &Args) -> Result<(), String> {
@@ -704,6 +636,16 @@ mod tests {
     }
 
     #[test]
+    fn removed_ic_stats_flag_is_rejected() {
+        let err = cmd_trim(&args(&["trim", "--app", "a.py", "--ic-stats"]))
+            .expect_err("the inline-cache counters no longer exist");
+        assert!(
+            err.contains("unknown option `--ic-stats` for `trim`"),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn greedy_and_ddmin_algorithms_are_accepted() {
         assert!(debloat_options(&args(&["--algorithm", "greedy"])).is_ok());
         assert!(debloat_options(&args(&["--algorithm", "ddmin"])).is_ok());
@@ -777,32 +719,6 @@ mod tests {
         let err = debloat_options(&args(&["--engine", "jit"])).expect_err("bad engine rejected");
         assert!(err.contains("unknown engine `jit`"), "{err}");
         assert!(err.contains("expected vm|tree"), "{err}");
-    }
-
-    #[test]
-    fn ic_stats_section_reports_per_site_rates() {
-        let mut registry = pylite::Registry::new();
-        registry.set_module("util", "CONST = 5\n");
-        let app = "import util\nx = util.CONST\n\
-                   def handler(event, context):\n    return util.CONST + event[\"n\"]\n";
-        let spec = trim_core::OracleSpec {
-            handler: "handler".to_owned(),
-            cases: vec![
-                trim_core::TestCase::event("{\"n\": 1}"),
-                trim_core::TestCase::event("{\"n\": 2}"),
-            ],
-        };
-        let section = ic_stats_section(&registry, app, &spec).expect("instrumented run passes");
-        assert!(section.starts_with("inline-cache sites"), "{section}");
-        assert!(section.contains("% hit rate"), "{section}");
-        // Three reads of the same `util.CONST` sites: the repeats hit.
-        assert!(section.contains("hit"), "{section}");
-        // Live and init lookups report as separate lines.
-        assert!(section.contains("live:"), "{section}");
-        assert!(section.contains("init:"), "{section}");
-        let err = ic_stats_section(&registry, "import missing\n", &spec)
-            .expect_err("broken app surfaces the init failure");
-        assert!(err.contains("--ic-stats init run failed"), "{err}");
     }
 
     #[test]

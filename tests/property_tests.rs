@@ -467,6 +467,120 @@ fn trim_on_random_library_is_sound() {
 }
 
 // ---------------------------------------------------------------------------
+// Seeded retrim against cold trim
+// ---------------------------------------------------------------------------
+
+/// The libraries of the retrim property: six plain functions each.
+const RETRIM_LIBS: [&str; 2] = ["plib", "qlib"];
+
+/// A handler that sums `lib.aI(n)` over `reads`, plus the edit's extra
+/// `lines` inserted right after `n` is bound.
+fn retrim_app(reads: &BTreeSet<(usize, usize)>, lines: &str) -> String {
+    let mut app = String::from("import plib\nimport qlib\ndef handler(event, context):\n");
+    app.push_str("    n = event[\"n\"]\n");
+    app.push_str(lines);
+    app.push_str("    total = 0\n");
+    for (lib, attr) in reads {
+        app.push_str(&format!(
+            "    total = total + {}.a{attr}(n)\n",
+            RETRIM_LIBS[*lib]
+        ));
+    }
+    app.push_str("    return total\n");
+    app
+}
+
+/// For random handler edits (attribute reads added or dropped, bounded or
+/// unbounded `getattr` added), a retrim seeded by v1's log matches a cold
+/// trim of the edited app on fallbacks, pins and oracle behaviour, and
+/// keeps must-keep ∪ pins in every module it trims.
+#[test]
+fn seeded_retrim_matches_cold_trim_on_random_edits() {
+    use lambda_trim::trim_analysis::{analyze_full, AnalysisOptions};
+
+    let mut registry = pylite::Registry::new();
+    for (i, lib) in RETRIM_LIBS.iter().enumerate() {
+        let mut src = format!("__lt_work__({})\n", 30 + 10 * i);
+        for a in 0..6 {
+            src.push_str(&format!("def a{a}(x):\n    return x + {}\n", 10 * i + a));
+        }
+        registry.set_module(*lib, src);
+    }
+    let options = lambda_trim::DebloatOptions::default();
+    let mut rng = Rng::seed_from_u64(0x5eed);
+    let (mut pinned, mut fell_back) = (0, 0);
+    for case in 0..16 {
+        let random_read = |rng: &mut Rng| (rng.usize_inclusive(0, 1), rng.usize_inclusive(0, 5));
+        let mut reads = BTreeSet::new();
+        for _ in 0..rng.usize_inclusive(1, 4) {
+            reads.insert(random_read(&mut rng));
+        }
+        let mut events = vec![lambda_trim::TestCase::event("{\"n\": 3}")];
+        if rng.bool() {
+            events.push(lambda_trim::TestCase::event("{\"n\": -2}"));
+        }
+        let spec = lambda_trim::OracleSpec::new(events);
+        let v1 = retrim_app(&reads, "");
+        let log = lambda_trim::trim_app(&registry, &v1, &spec, &options)
+            .expect("v1 trims")
+            .log();
+
+        // The edit: drop some reads, add some, maybe add a getattr.
+        let before_edit = reads.clone();
+        reads.retain(|_| rng.bool());
+        for _ in 0..rng.usize_inclusive(0, 3) {
+            reads.insert(random_read(&mut rng));
+        }
+        let lib = RETRIM_LIBS[rng.usize_inclusive(0, 1)];
+        let lines = match rng.usize_inclusive(0, 2) {
+            0 => String::new(),
+            1 => format!(
+                "    key = \"a{}\" if n > 0 else \"a{}\"\n    n = n + getattr({lib}, key)(n)\n",
+                rng.usize_inclusive(0, 5),
+                rng.usize_inclusive(0, 5)
+            ),
+            _ => {
+                format!("    if \"x\" in event:\n        return getattr({lib}, event[\"x\"])(n)\n")
+            }
+        };
+        let v2 = retrim_app(&reads, &lines);
+        let what = format!("case {case}: {before_edit:?} -> {reads:?}, edit {lines:?}");
+
+        let cold = lambda_trim::trim_app(&registry, &v2, &spec, &options)
+            .unwrap_or_else(|e| panic!("{what}: cold trim failed: {e}"));
+        let warm = lambda_trim::trim_core::retrim_with_log(&registry, &v2, &spec, &log, &options)
+            .unwrap_or_else(|e| panic!("{what}: retrim failed: {e}"));
+        assert_eq!(warm.fallback_modules, cold.fallback_modules, "{what}");
+        assert_eq!(warm.pinned_hazard_attrs, cold.pinned_hazard_attrs, "{what}");
+        assert!(warm.before.behavior_eq(&cold.before), "{what}");
+        assert!(warm.after.behavior_eq(&cold.after), "{what}");
+        assert!(warm.after.behavior_eq(&warm.before), "{what}");
+        pinned += usize::from(!warm.pinned_hazard_attrs.is_empty());
+        fell_back += usize::from(!warm.fallback_modules.is_empty());
+
+        let program = pylite::parse(&v2).expect("edited app parses");
+        let analysis = analyze_full(&program, &registry, &AnalysisOptions::default()).analysis;
+        for m in &warm.modules {
+            let mut required = analysis.accessed_attrs(&m.module);
+            required.extend(
+                warm.pinned_hazard_attrs
+                    .get(&m.module)
+                    .into_iter()
+                    .flatten()
+                    .cloned(),
+            );
+            let kept: BTreeSet<String> = m.kept.iter().cloned().collect();
+            assert!(
+                required.is_subset(&kept),
+                "{what}: {} keeps {kept:?}, must keep {required:?}",
+                m.module
+            );
+        }
+    }
+    assert!(pinned > 0 && fell_back > 0, "edits cover both hazard kinds");
+}
+
+// ---------------------------------------------------------------------------
 // Incremental re-analysis
 // ---------------------------------------------------------------------------
 
