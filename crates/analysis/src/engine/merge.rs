@@ -4,7 +4,7 @@
 //! on that shard's converged state (plus the frozen snapshots it read), so
 //! outputs can be cached per shard and reused across incremental runs. The
 //! merge folds them in sorted shard order — application first, then module
-//! names ascending — never in thread-completion order, which is one half of
+//! names ascending — never in walk order, which is one half of
 //! the determinism argument (DESIGN.md §9); the other half is that every
 //! target structure is keyed by strings, so even the symbol numbering of a
 //! particular run is invisible in the result.

@@ -12,19 +12,12 @@
 //! The engine is organized as a bulk-synchronous sharded worklist
 //! (DESIGN.md §9): one [`worklist::Shard`] per registry module plus one for
 //! the application. Each round, every dirty shard runs to a *local*
-//! fixpoint against immutable snapshots of all other shards — concurrently
-//! when `jobs > 1`, the shared atom table being the registry's lock-free
-//! read interner — then a serial barrier applies cross-shard messages
-//! (pure joins) and wakes readers of re-published shards. Because walkers
-//! only see frozen snapshots and barrier effects are commutative and
-//! idempotent, the converged state — and therefore the output, collected in
-//! a read-only pass and merged in sorted shard order — is independent of
-//! the thread schedule: `jobs = 8` is bit-identical to `jobs = 1`.
-//!
-//! Parallel walks run on a persistent [`WalkPool`]: `jobs` workers are
-//! spawned once per analysis run and fed one batch per round through a
-//! mutex/condvar handshake, so round count does not multiply thread spawn
-//! cost.
+//! fixpoint against immutable snapshots of all other shards, then a barrier
+//! applies cross-shard messages (pure joins) and wakes readers of
+//! re-published shards. Because walkers only see frozen snapshots and
+//! barrier effects are commutative and idempotent, the converged state —
+//! and therefore the output, collected in a read-only pass and merged in
+//! sorted shard order — is a deterministic function of the inputs.
 //!
 //! Incremental re-analysis reuses the converged shards of a previous run
 //! (via [`crate::summary::SummaryCache`]): only modules whose content
@@ -50,8 +43,8 @@ use merge::ShardOutput;
 use pylite::ast::Program;
 use pylite::{Interner, Registry, Symbol, SymbolHashBuilder};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::{Arc, Condvar, Mutex};
-use worklist::{Message, Published, RoundView, Scope, Shard, UnitRef, WalkResult};
+use std::sync::Arc;
+use worklist::{Message, Published, RoundView, Scope, Shard, UnitRef};
 
 /// Everything the engine produces beyond the seed-compatible [`Analysis`].
 #[derive(Debug, Clone, Default)]
@@ -75,22 +68,19 @@ pub(crate) fn run(
     mode: AnalysisMode,
     entry: Option<&str>,
 ) -> EngineOutput {
-    run_with(program, registry, mode, entry, 1, None)
+    run_with(program, registry, mode, entry, None)
 }
 
-/// Full entry point: parallel walks (`jobs` threads) and optional summary
-/// caching / incremental reuse.
+/// Full entry point: optional summary caching / incremental reuse.
 pub(crate) fn run_with(
     program: &Program,
     registry: &Registry,
     mode: AnalysisMode,
     entry: Option<&str>,
-    jobs: usize,
     cache: Option<&SummaryCache>,
 ) -> EngineOutput {
-    let jobs = jobs.max(1);
     let Some(cache) = cache else {
-        let run = cold_run(program, registry, mode, entry, jobs);
+        let run = cold_run(program, registry, mode, entry);
         return Arc::try_unwrap(run.output).unwrap_or_else(|arc| (*arc).clone());
     };
     let key = SummaryKey {
@@ -105,14 +95,14 @@ pub(crate) fn run_with(
                 return (*prev.output).clone();
             }
             cache.note_incremental();
-            let run = incremental_run(&prev, program, registry, mode, entry, jobs);
+            let run = incremental_run(&prev, program, registry, mode, entry);
             let output = (*run.output).clone();
             cache.store(key, run);
             return output;
         }
     }
     cache.note_miss();
-    let run = cold_run(program, registry, mode, entry, jobs);
+    let run = cold_run(program, registry, mode, entry);
     let output = (*run.output).clone();
     cache.store(key, run);
     output
@@ -122,7 +112,6 @@ struct Engine<'a> {
     registry: &'a Registry,
     interner: Arc<Interner>,
     interprocedural: bool,
-    jobs: usize,
     /// Index 0 is the application shard; the rest follow
     /// `registry.module_names()` order (sorted).
     shards: Vec<Arc<Shard>>,
@@ -136,7 +125,7 @@ struct Engine<'a> {
     walked: Vec<bool>,
     /// Shards carried over from a cached run (incremental only). A clean
     /// shard's cached state is reused as-is unless a dependency publishes
-    /// *past* what the shard converged against (see `rounds_loop`).
+    /// *past* what the shard converged against (see `rounds`).
     clean: Vec<bool>,
     /// For rebuilt shards that had a cached counterpart: the snapshot
     /// their clean readers last saw. Gates early cutoff — readers stay
@@ -180,12 +169,11 @@ fn cold_run(
     registry: &Registry,
     mode: AnalysisMode,
     entry: Option<&str>,
-    jobs: usize,
 ) -> CachedRun {
     let interner = Arc::clone(registry.interner());
     let module_names = registry.module_names();
     let module_fps = registry_fps(registry, &module_names);
-    let mut eng = Engine::new(registry, interner, mode, jobs, module_names.len());
+    let mut eng = Engine::new(registry, interner, mode, module_names.len());
     eng.push_shard(build_app_shard(program, &eng.interner), true);
     for name in &module_names {
         let sym = eng.interner.intern(name);
@@ -202,7 +190,6 @@ fn incremental_run(
     registry: &Registry,
     mode: AnalysisMode,
     entry: Option<&str>,
-    jobs: usize,
 ) -> CachedRun {
     let interprocedural = mode == AnalysisMode::Interprocedural;
     let module_names = registry.module_names();
@@ -281,7 +268,7 @@ fn incremental_run(
         }
 
         let interner = Arc::clone(registry.interner());
-        let mut eng = Engine::new(registry, interner, mode, jobs, module_names.len());
+        let mut eng = Engine::new(registry, interner, mode, module_names.len());
         let mut clean_names: BTreeSet<Option<String>> = BTreeSet::new();
         match prev_by_name.get(&None) {
             Some(app) if !cone.contains(&None) => {
@@ -395,108 +382,11 @@ fn incremental_run(
     }
 }
 
-/// Persistent worker pool for one analysis run: workers are spawned once
-/// and handed one batch of shard walks per round. Workers capture only the
-/// registry reference, the shared interner and an `Arc` of the shard index
-/// — never the engine — so the orchestrator thread is free to mutate
-/// engine state at the barrier while workers park on the condvar.
-struct WalkPool {
-    state: Mutex<PoolState>,
-    /// Signaled when a batch is queued (or shutdown is requested).
-    work_ready: Condvar,
-    /// Signaled when the queued batch has fully drained.
-    work_done: Condvar,
-}
-
-#[derive(Default)]
-struct PoolState {
-    /// This round's frozen snapshots, shared with every worker.
-    snapshots: Option<Arc<[Arc<Published>]>>,
-    queue: Vec<(usize, Arc<Shard>)>,
-    done: Vec<(usize, Arc<Shard>, WalkResult)>,
-    in_flight: usize,
-    shutdown: bool,
-}
-
-impl WalkPool {
-    fn new() -> WalkPool {
-        WalkPool {
-            state: Mutex::new(PoolState::default()),
-            work_ready: Condvar::new(),
-            work_done: Condvar::new(),
-        }
-    }
-
-    /// Worker loop: pop a shard, walk it to its local fixpoint against the
-    /// batch's frozen snapshots, push the result. Parks between batches.
-    fn worker(
-        &self,
-        registry: &Registry,
-        interner: &Interner,
-        index: &HashMap<Symbol, usize, SymbolHashBuilder>,
-        interprocedural: bool,
-        dynamic_builtins: [Symbol; 3],
-    ) {
-        let mut state = self.state.lock().expect("walk pool poisoned");
-        loop {
-            if state.shutdown {
-                return;
-            }
-            let Some((i, mut arc)) = state.queue.pop() else {
-                state = self.work_ready.wait(state).expect("walk pool poisoned");
-                continue;
-            };
-            state.in_flight += 1;
-            let snapshots = Arc::clone(state.snapshots.as_ref().expect("batch snapshots"));
-            drop(state);
-            let view = RoundView {
-                registry,
-                interner,
-                interprocedural,
-                index,
-                snapshots: &snapshots,
-                dynamic_builtins,
-            };
-            let res = transfer::walk_round(Arc::make_mut(&mut arc), &view);
-            state = self.state.lock().expect("walk pool poisoned");
-            state.done.push((i, arc, res));
-            state.in_flight -= 1;
-            if state.queue.is_empty() && state.in_flight == 0 {
-                self.work_done.notify_all();
-            }
-        }
-    }
-
-    /// Run one batch to completion on the workers (called from the
-    /// orchestrator thread, which blocks until the batch drains).
-    fn run_batch(
-        &self,
-        snapshots: Arc<[Arc<Published>]>,
-        items: Vec<(usize, Arc<Shard>)>,
-    ) -> Vec<(usize, Arc<Shard>, WalkResult)> {
-        let mut state = self.state.lock().expect("walk pool poisoned");
-        state.snapshots = Some(snapshots);
-        state.queue = items;
-        self.work_ready.notify_all();
-        while !(state.queue.is_empty() && state.in_flight == 0) {
-            state = self.work_done.wait(state).expect("walk pool poisoned");
-        }
-        state.snapshots = None;
-        std::mem::take(&mut state.done)
-    }
-
-    fn shutdown(&self) {
-        self.state.lock().expect("walk pool poisoned").shutdown = true;
-        self.work_ready.notify_all();
-    }
-}
-
 impl<'a> Engine<'a> {
     fn new(
         registry: &'a Registry,
         interner: Arc<Interner>,
         mode: AnalysisMode,
-        jobs: usize,
         capacity: usize,
     ) -> Engine<'a> {
         let dynamic_builtins = DYNAMIC_BUILTINS.map(|n| interner.intern(n));
@@ -504,7 +394,6 @@ impl<'a> Engine<'a> {
             registry,
             interner,
             interprocedural: mode == AnalysisMode::Interprocedural,
-            jobs,
             shards: Vec::with_capacity(capacity + 1),
             names: Vec::with_capacity(capacity + 1),
             index: HashMap::default(),
@@ -535,9 +424,7 @@ impl<'a> Engine<'a> {
 
     /// Package the converged engine as a cacheable run.
     fn pack(self, entry: Option<&str>, module_fps: BTreeMap<String, u64>) -> CachedRun {
-        let t = crate::spans::start();
         let output = Arc::new(self.finish(entry));
-        crate::spans::record(crate::spans::Phase::Finish, 0, None, t);
         CachedRun {
             registry_fp: self.registry.fingerprint(),
             interner: self.interner,
@@ -558,55 +445,15 @@ impl<'a> Engine<'a> {
         }
     }
 
-    fn take_shard(&mut self, idx: usize) -> Arc<Shard> {
-        std::mem::replace(&mut self.shards[idx], Arc::new(Shard::slot(None, None)))
-    }
-
-    /// Bulk-synchronous rounds until no shard is dirty. With `jobs > 1`
-    /// this spins up a [`WalkPool`] for the whole run (one spawn per
-    /// worker, not per round).
+    /// Bulk-synchronous rounds until no shard is dirty.
     fn rounds(&mut self) {
-        if self.jobs <= 1 {
-            self.rounds_loop(None);
-            return;
-        }
-        let pool = WalkPool::new();
-        // Copied/cloned out of `self` so workers borrow nothing from the
-        // engine: the orchestrator needs `&mut self` at every barrier.
-        let registry = self.registry;
-        let interner = Arc::clone(&self.interner);
-        let index = Arc::new(self.index.clone());
-        let interprocedural = self.interprocedural;
-        let dynamic_builtins = self.dynamic_builtins;
-        std::thread::scope(|s| {
-            for _ in 0..self.jobs {
-                let interner = Arc::clone(&interner);
-                let index = Arc::clone(&index);
-                let pool = &pool;
-                s.spawn(move || {
-                    pool.worker(
-                        registry,
-                        &interner,
-                        &index,
-                        interprocedural,
-                        dynamic_builtins,
-                    )
-                });
-            }
-            self.rounds_loop(Some(&pool));
-            pool.shutdown();
-        });
-    }
-
-    fn rounds_loop(&mut self, pool: Option<&WalkPool>) {
         let mut round = 0usize;
         loop {
             // Hub-last scheduling: the application shard reads from every
             // imported module, so walking it while library shards are
             // still converging just repeats its (large) walk each round.
             // Deferring it until the libraries quiesce cuts total walk
-            // work and shortens the serial critical path. The schedule is
-            // a function of the dirty set alone (never of `jobs`), and
+            // work. The schedule is a function of the dirty set alone, and
             // any fair schedule reaches the same least fixpoint.
             let mut work: Vec<usize> = (1..self.shards.len()).filter(|&i| self.dirty[i]).collect();
             if work.is_empty() && self.dirty[0] {
@@ -618,7 +465,7 @@ impl<'a> Engine<'a> {
             round += 1;
             assert!(round < 100_000, "analysis fixpoint failed to converge");
             // Freeze this round's world view before any shard moves.
-            let snapshots: Arc<[Arc<Published>]> = self
+            let snapshots: Vec<Arc<Published>> = self
                 .shards
                 .iter()
                 .map(|s| Arc::clone(&s.published))
@@ -627,45 +474,30 @@ impl<'a> Engine<'a> {
                 self.dirty[i] = false;
                 self.walked[i] = true;
             }
-            // Take dirty shards out of the vec for the round: walkers own
-            // them exclusively (so copy-on-write clones of cached shards
-            // happen at most once, not once per round).
-            let items: Vec<(usize, Arc<Shard>)> =
-                work.iter().map(|&i| (i, self.take_shard(i))).collect();
-            let mut results = match pool {
-                // Single-shard rounds skip the condvar handshake.
-                Some(pool) if items.len() > 1 => pool.run_batch(Arc::clone(&snapshots), items),
-                _ => {
-                    let view = self.view(&snapshots);
-                    items
-                        .into_iter()
-                        .map(|(i, mut arc)| {
-                            let t = crate::spans::start();
-                            let res = transfer::walk_round(Arc::make_mut(&mut arc), &view);
-                            crate::spans::record(
-                                crate::spans::Phase::Walk,
-                                round,
-                                self.names[i].clone(),
-                                t,
-                            );
-                            (i, arc, res)
-                        })
-                        .collect()
-                }
-            };
+            // Walks read only the frozen view, so the shards move out of
+            // `self` for the round while `view` borrows the engine.
+            let mut shards = std::mem::take(&mut self.shards);
+            let view = self.view(&snapshots);
+            let results: Vec<_> = work
+                .iter()
+                .map(|&i| {
+                    (
+                        i,
+                        transfer::walk_round(Arc::make_mut(&mut shards[i]), &view),
+                    )
+                })
+                .collect();
+            self.shards = shards;
 
-            let barrier_t = crate::spans::start();
-            // Serial barrier, in sorted shard order (determinism: every
+            // Barrier, in sorted shard order (`work` is ascending; every
             // effect below is a join, but keep the order fixed anyway).
-            results.sort_by_key(|(i, _, _)| *i);
             let mut republished: Vec<usize> = Vec::new();
             let mut msgs: Vec<Message> = Vec::new();
-            for (i, arc, res) in results {
+            for (i, res) in results {
                 if res.pub_changed {
                     republished.push(i);
                 }
                 msgs.extend(res.msgs);
-                self.shards[i] = arc;
             }
             for msg in msgs {
                 self.deliver(msg);
@@ -691,7 +523,6 @@ impl<'a> Engine<'a> {
                     }
                 }
             }
-            crate::spans::record(crate::spans::Phase::Barrier, round, None, barrier_t);
         }
     }
 
@@ -773,50 +604,16 @@ impl<'a> Engine<'a> {
             .iter()
             .map(|s| Arc::clone(&s.published))
             .collect();
-        let work: Vec<usize> = (0..self.shards.len())
-            .filter(|&i| {
-                let s = &self.shards[i];
-                s.active && (self.walked[i] || s.output.is_none())
-            })
-            .collect();
-        let items: Vec<(usize, Arc<Shard>)> =
-            work.iter().map(|&i| (i, self.take_shard(i))).collect();
+        let mut shards = std::mem::take(&mut self.shards);
         let view = self.view(&snapshots);
-        let collect_one = |(i, mut arc): (usize, Arc<Shard>)| {
-            let shard = Arc::make_mut(&mut arc);
-            let out = transfer::collect_shard(shard, &view);
-            shard.output = Some(Arc::new(out));
-            (i, arc)
-        };
-        let results: Vec<(usize, Arc<Shard>)> = if self.jobs <= 1 || items.len() <= 1 {
-            items
-                .into_iter()
-                .map(|item| {
-                    let name = self.names[item.0].clone();
-                    let t = crate::spans::start();
-                    let result = collect_one(item);
-                    crate::spans::record(crate::spans::Phase::Collect, 0, name, t);
-                    result
-                })
-                .collect()
-        } else {
-            let pending = Mutex::new(items);
-            let done = Mutex::new(Vec::new());
-            std::thread::scope(|s| {
-                for _ in 0..self.jobs {
-                    s.spawn(|| loop {
-                        let next = pending.lock().expect("collect queue poisoned").pop();
-                        let Some(item) = next else { break };
-                        let result = collect_one(item);
-                        done.lock().expect("collect results poisoned").push(result);
-                    });
-                }
-            });
-            done.into_inner().expect("collect results poisoned")
-        };
-        for (i, arc) in results {
-            self.shards[i] = arc;
+        for (i, arc) in shards.iter_mut().enumerate() {
+            if arc.active && (self.walked[i] || arc.output.is_none()) {
+                let shard = Arc::make_mut(arc);
+                let out = transfer::collect_shard(shard, &view);
+                shard.output = Some(Arc::new(out));
+            }
         }
+        self.shards = shards;
     }
 
     /// Merge shard outputs (app first, then modules in sorted-name order —

@@ -6,7 +6,7 @@
 //! directly — they read it through an immutable [`Published`] snapshot
 //! frozen at the start of each round, and affect it through [`Message`]s
 //! applied serially at the round barrier. That is what makes the engine's
-//! rounds bulk-synchronous and its results independent of thread schedule:
+//! rounds bulk-synchronous and its results independent of walk order:
 //! within a round every walker sees the same frozen world, and barrier
 //! effects are pure joins (commutative and idempotent), so the per-round
 //! state evolution is a deterministic function of the previous round.

@@ -43,7 +43,6 @@ mod engine;
 pub mod lints;
 pub mod origin;
 pub mod slice;
-pub mod spans;
 pub mod summary;
 
 use pylite::ast::Program;
@@ -77,8 +76,9 @@ pub struct AnalysisOptions {
     /// computed from the top-level plus this function; when `None`, every
     /// application function is a root.
     pub entry: Option<String>,
-    /// Number of worker threads for the sharded fixpoint. `1` (the
-    /// default) runs serially; any value produces bit-identical results.
+    /// Unused: the fixpoint always runs on the calling thread. Kept only
+    /// because existing struct literals name it; it goes with the next
+    /// change to the end-to-end benchmark.
     pub jobs: usize,
     /// Optional cross-run summary cache: identical `(app, registry)` runs
     /// are answered from cache, and registry edits trigger incremental
@@ -182,7 +182,6 @@ pub fn analyze_full(
         registry,
         options.mode,
         options.entry.as_deref(),
-        options.jobs,
         options.summary_cache.as_deref(),
     );
     FullAnalysis {
@@ -829,7 +828,7 @@ mod tests {
         assert!(b.contains("go"));
     }
 
-    // -- sharded fixpoint: parallelism, caching, incrementality -----------
+    // -- sharded fixpoint: caching, incrementality -----------------------
 
     fn chain_registry() -> Registry {
         registry_src(&[
@@ -859,26 +858,6 @@ mod tests {
         assert_eq!(a.hazard_attrs, b.hazard_attrs);
         assert_eq!(a.call_graph, b.call_graph);
         assert_eq!(a.reached_functions, b.reached_functions);
-    }
-
-    #[test]
-    fn parallel_jobs_are_bit_identical_to_serial() {
-        let r = chain_registry();
-        let p = parse(CHAIN_APP).unwrap();
-        let run = |jobs| {
-            analyze_full(
-                &p,
-                &r,
-                &AnalysisOptions {
-                    jobs,
-                    ..AnalysisOptions::default()
-                },
-            )
-        };
-        let serial = run(1);
-        for jobs in [2, 8] {
-            assert_same_full(&serial, &run(jobs));
-        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!
 //! Atoms are *interned*: module and attribute names are [`Symbol`]s from
 //! the registry's shared `pylite::intern` family, so every analysis shard
-//! (and every thread) agrees on atom identity without string comparisons,
+//! agrees on atom identity without string comparisons,
 //! and an `OriginSet` is a set of small `Copy` values. Function and
 //! container-site atoms are identified **by content** ([`FuncKey`],
 //! [`SiteKey`]) rather than by discovery order, so a summary cached from an
@@ -37,8 +37,8 @@ pub struct FuncKey {
 /// Content-based identity of a container-literal site: the shard and unit
 /// (function qualname, `None` for the top level) that contains the literal,
 /// plus the walk-order encounter index. The counter restarts on every walk
-/// of the unit, so a site keeps its identity across fixpoint iterations,
-/// across threads, and across incremental re-analysis.
+/// of the unit, so a site keeps its identity across fixpoint iterations
+/// and across incremental re-analysis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SiteKey {
     /// Shard containing the literal.

@@ -1,8 +1,8 @@
-//! Sharded-fixpoint micro-benchmarks: cold serial vs cold parallel vs
-//! warm-cache incremental analysis, on a few representative corpus apps.
+//! Sharded-fixpoint micro-benchmarks: cold vs warm-cache incremental
+//! analysis, on a few representative corpus apps.
 //!
 //! The `analysis` bin (`cargo run -p trim-bench --bin analysis --release`)
-//! runs the same three configurations over the *whole* corpus and writes
+//! runs the same two configurations over the *whole* corpus and writes
 //! `BENCH_analysis.json`; this bench is the quick inner-loop view.
 
 use std::hint::black_box;
@@ -21,17 +21,6 @@ fn main() {
                 &program,
                 &bench.registry,
                 &AnalysisOptions::default(),
-            ))
-        });
-
-        runner.bench(&format!("analysis-fixpoint/{name}/cold-jobs8"), || {
-            black_box(analyze_full(
-                &program,
-                &bench.registry,
-                &AnalysisOptions {
-                    jobs: 8,
-                    ..AnalysisOptions::default()
-                },
             ))
         });
 

@@ -1,37 +1,15 @@
-//! Static-analysis fixpoint benchmark: wall-clock nanoseconds per full
-//! interprocedural analysis, per corpus application, in three
+//! Static-analysis fixpoint benchmark: measured wall-clock nanoseconds per
+//! full interprocedural analysis, per corpus application, in two
 //! configurations:
 //!
-//! * **serial** — cold run, one walker thread (`jobs = 1`);
-//! * **parallel** — cold run, `jobs = 8` sharded walkers;
+//! * **cold** — no summary cache, the whole fixpoint runs;
 //! * **incremental** — one-module registry edit against a warm summary
 //!   cache (only the edited module's reverse-dependency cone re-runs).
 //!
-//! Every parallel run is checked bit-identical to the serial run (call
-//! graph, lints, accessed sets, bindings, reached functions) — the
-//! determinism contract of the sharded engine, not just a smoke test.
-//!
-//! # Parallel speedup: measured and projected
-//!
-//! Wall-clock speedup from threads requires physical cores. On a
-//! single-core host (common for pinned CI containers — check the
-//! `host_cores` field in the output) every multi-threaded wall
-//! measurement degenerates to serial time plus scheduling overhead, so
-//! besides the measured `jobs8_wall_ns` this benchmark reports
-//! `jobs8_projected_ns`: the engine's span tracer records the real
-//! per-shard walk/collect durations of a serial run, and those spans are
-//! replayed through an idealized 8-worker BSP schedule (LPT list
-//! scheduling within each round; barriers, the final merge, and all
-//! untraced time stay serial). The projection uses measured single-thread
-//! work only — no speedup is assumed, it is computed from the schedule
-//! the sharded engine actually executes.
-//!
-//! The corpus-level headline (`jobs8_speedup`) models a `--jobs 8` run
-//! over the whole corpus the way the pipeline executes one: apps are
-//! list-scheduled across the 8 workers (corpus-level parallelism), and
-//! the longest-running app — the critical path — additionally uses the
-//! sharded engine's intra-app schedule. Incremental speedup is plain
-//! measured wall time: both sides are single-threaded.
+//! Both run on the calling thread. Every app's incremental output is
+//! also checked against a cold analysis of the same edited registry (call
+//! graph, lints, accessed sets, bindings, reached functions); any
+//! difference is reported and the binary exits 1 without writing.
 //!
 //! Usage:
 //!
@@ -42,14 +20,10 @@
 //! `LT_BENCH_BUDGET_MS` bounds the per-configuration sampling budget
 //! (default 300).
 
-use std::collections::BTreeMap;
+use std::process::ExitCode;
 use std::time::{Duration, Instant};
-use trim_analysis::spans::{self, Phase, Span};
 use trim_analysis::summary::SummaryCache;
 use trim_analysis::{analyze_full, AnalysisOptions, FullAnalysis};
-
-/// Worker count for the parallel configuration.
-const JOBS: usize = 8;
 
 fn render(full: &FullAnalysis) -> String {
     format!(
@@ -81,90 +55,33 @@ fn measure(budget: Duration, mut f: impl FnMut()) -> u64 {
     samples[samples.len() / 2]
 }
 
-/// Longest-processing-time list-scheduling makespan of `tasks` on
-/// `workers` identical workers: sort descending, always give the next
-/// task to the least-loaded worker.
-fn lpt_makespan(mut tasks: Vec<u64>, workers: usize) -> u64 {
-    tasks.sort_unstable_by(|a, b| b.cmp(a));
-    let mut loads = vec![0u64; workers.max(1)];
-    for t in tasks {
-        *loads.iter_mut().min().expect("at least one worker") += t;
-    }
-    loads.into_iter().max().unwrap_or(0)
-}
-
-/// Replay a traced serial run through an idealized `workers`-wide BSP
-/// schedule: walks within a round and the collect pass parallelize;
-/// round barriers, the finish merge, and all untraced time (setup,
-/// shard construction) stay serial.
-fn project(spans: &[Span], serial_wall_ns: u64, workers: usize) -> u64 {
-    let traced: u64 = spans.iter().map(|s| s.ns).sum();
-    let mut walks: BTreeMap<usize, Vec<u64>> = BTreeMap::new();
-    let mut collects: Vec<u64> = Vec::new();
-    let mut serial_phases: u64 = 0;
-    for s in spans {
-        match s.phase {
-            Phase::Walk => walks.entry(s.round).or_default().push(s.ns),
-            Phase::Collect => collects.push(s.ns),
-            Phase::Barrier | Phase::Finish => serial_phases += s.ns,
-        }
-    }
-    let walk_rounds: u64 = walks.into_values().map(|w| lpt_makespan(w, workers)).sum();
-    let collect_pass = lpt_makespan(collects, workers);
-    serial_wall_ns.saturating_sub(traced) + walk_rounds + collect_pass + serial_phases
-}
-
 struct Row {
     app: String,
     serial_ns: u64,
-    jobs8_wall_ns: u64,
-    jobs8_projected_ns: u64,
     incremental_ns: u64,
-    identical: bool,
 }
 
-fn main() {
+fn main() -> ExitCode {
     let budget_ms = std::env::var("LT_BENCH_BUDGET_MS")
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(300u64);
     let budget = Duration::from_millis(budget_ms);
-    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     let mut rows: Vec<Row> = Vec::new();
+    let mut mismatches: Vec<String> = Vec::new();
     for bench in trim_apps::corpus() {
         let program = pylite::parse(&bench.app_source).expect("corpus app parses");
-        let opts = |jobs: usize, cache: Option<std::sync::Arc<SummaryCache>>| AnalysisOptions {
-            jobs,
-            summary_cache: cache,
+        let cold = AnalysisOptions::default();
+        let cache = SummaryCache::shared();
+        let warm = AnalysisOptions {
+            summary_cache: Some(cache.clone()),
             ..AnalysisOptions::default()
         };
 
-        let serial_out = analyze_full(&program, &bench.registry, &opts(1, None));
-        let parallel_out = analyze_full(&program, &bench.registry, &opts(JOBS, None));
-        let identical = render(&serial_out) == render(&parallel_out);
-
         let serial_ns = measure(budget, || {
-            std::hint::black_box(analyze_full(&program, &bench.registry, &opts(1, None)));
+            std::hint::black_box(analyze_full(&program, &bench.registry, &cold));
         });
-        let jobs8_wall_ns = measure(budget, || {
-            std::hint::black_box(analyze_full(&program, &bench.registry, &opts(JOBS, None)));
-        });
-
-        // Trace a few serial runs and project the median one through the
-        // idealized 8-worker schedule (see module docs).
-        let mut traced: Vec<(u64, Vec<Span>)> = (0..5)
-            .map(|_| {
-                spans::enable();
-                let t = Instant::now();
-                std::hint::black_box(analyze_full(&program, &bench.registry, &opts(1, None)));
-                let wall = t.elapsed().as_nanos() as u64;
-                (wall, spans::take())
-            })
-            .collect();
-        traced.sort_by_key(|(wall, _)| *wall);
-        let (traced_wall, trace) = &traced[traced.len() / 2];
-        let jobs8_projected_ns = project(trace, *traced_wall, JOBS).max(1);
 
         // Incremental: flip one module between two contents; each sample
         // is a genuine incremental run (the fingerprint differs from the
@@ -183,107 +100,78 @@ fn main() {
             .expect("module listed")
             .to_owned();
         let edited = format!("{original}\n0\n");
-        let cache = SummaryCache::shared();
         let mut work = bench.registry.clone();
-        analyze_full(&program, &work, &opts(1, Some(cache.clone()))); // prime
+        analyze_full(&program, &work, &warm); // prime
         let mut flip = false;
         let incremental_ns = measure(budget, || {
             flip = !flip;
-            work.set_module(
-                &module,
-                if flip {
-                    edited.clone()
-                } else {
-                    original.clone()
-                },
-            );
-            std::hint::black_box(analyze_full(&program, &work, &opts(1, Some(cache.clone()))));
+            work.set_module(&module, if flip { &edited } else { &original });
+            std::hint::black_box(analyze_full(&program, &work, &warm));
         });
 
+        // Correctness: an incremental run from the original registry must
+        // match a cold analysis of the edited one.
+        work.set_module(&module, &original);
+        analyze_full(&program, &work, &warm);
+        work.set_module(&module, &edited);
+        let runs = cache.incremental_runs();
+        let incremental = render(&analyze_full(&program, &work, &warm));
+        assert_eq!(
+            cache.incremental_runs(),
+            runs + 1,
+            "the edit re-analyzes incrementally"
+        );
+        if incremental != render(&analyze_full(&program, &work, &cold)) {
+            mismatches.push(bench.name.clone());
+        }
+
         println!(
-            "{:<24} serial {serial_ns:>9} ns | jobs=8 proj {jobs8_projected_ns:>9} ns ({:.2}x, wall {jobs8_wall_ns} ns) | incremental {incremental_ns:>9} ns ({:.2}x) | identical: {identical}",
+            "{:<24} cold {serial_ns:>9} ns | incremental {incremental_ns:>9} ns ({:.2}x)",
             bench.name,
-            serial_ns as f64 / jobs8_projected_ns as f64,
             serial_ns as f64 / incremental_ns as f64,
         );
         rows.push(Row {
             app: bench.name.clone(),
             serial_ns,
-            jobs8_wall_ns,
-            jobs8_projected_ns,
             incremental_ns,
-            identical,
         });
+    }
+    if !mismatches.is_empty() {
+        eprintln!(
+            "incremental analysis differs from a cold analysis of the edited registry on: {}",
+            mismatches.join(", ")
+        );
+        return ExitCode::FAILURE;
     }
 
     let total_serial: u64 = rows.iter().map(|r| r.serial_ns).sum();
-    let total_jobs8_wall: u64 = rows.iter().map(|r| r.jobs8_wall_ns).sum();
     let total_incremental: u64 = rows.iter().map(|r| r.incremental_ns).sum();
-
-    // Corpus-level jobs=8 schedule: apps run concurrently across the 8
-    // workers; the longest app is the critical path and uses the sharded
-    // engine's intra-app schedule on those same workers once the rest of
-    // the corpus has drained.
-    let longest = rows
-        .iter()
-        .enumerate()
-        .max_by_key(|(_, r)| r.serial_ns)
-        .map(|(i, _)| i)
-        .expect("non-empty corpus");
-    let other_apps: Vec<u64> = rows
-        .iter()
-        .enumerate()
-        .filter(|&(i, _)| i != longest)
-        .map(|(_, r)| r.serial_ns)
-        .collect();
-    let corpus_jobs8_projected = lpt_makespan(other_apps, JOBS) + rows[longest].jobs8_projected_ns;
-
-    let jobs8_speedup = total_serial as f64 / corpus_jobs8_projected as f64;
-    let jobs8_wall_speedup = total_serial as f64 / total_jobs8_wall as f64;
     let incremental_speedup = total_serial as f64 / total_incremental as f64;
-    let all_identical = rows.iter().all(|r| r.identical);
 
     let json_rows: Vec<String> = rows
         .iter()
         .map(|r| {
             format!(
-                "    {{\"app\": \"{}\", \"serial_ns\": {}, \"jobs8_wall_ns\": {}, \"jobs8_projected_ns\": {}, \"incremental_ns\": {}, \"jobs8_projected_speedup\": {:.2}, \"incremental_speedup\": {:.2}, \"identical\": {}}}",
+                "    {{\"app\": \"{}\", \"serial_ns\": {}, \"incremental_ns\": {}, \"incremental_speedup\": {:.2}}}",
                 r.app,
                 r.serial_ns,
-                r.jobs8_wall_ns,
-                r.jobs8_projected_ns,
                 r.incremental_ns,
-                r.serial_ns as f64 / r.jobs8_projected_ns as f64,
                 r.serial_ns as f64 / r.incremental_ns as f64,
-                r.identical
             )
         })
         .collect();
-    let model = "jobs8_projected_ns replays per-shard walk/collect spans traced from a \
-                 serial run through an idealized 8-worker BSP schedule (LPT within each \
-                 round; barriers, merge, and untraced time serial). jobs8_speedup is the \
-                 corpus-level 8-worker schedule: LPT over the other apps plus the longest \
-                 app's intra-app projection. Wall fields are measured on this host \
-                 (host_cores physical workers); incremental_speedup is measured wall time, \
-                 single-threaded on both sides.";
     let json = format!(
-        "{{\n  \"bench\": \"analysis_fixpoint\",\n  \"unit\": \"ns_per_analysis\",\n  \"host_cores\": {},\n  \"apps\": [\n{}\n  ],\n  \"total_serial_ns\": {},\n  \"total_jobs8_wall_ns\": {},\n  \"total_incremental_ns\": {},\n  \"corpus_jobs8_projected_ns\": {},\n  \"jobs8_speedup\": {:.2},\n  \"jobs8_wall_speedup\": {:.2},\n  \"incremental_speedup\": {:.2},\n  \"jobs8_bit_identical\": {},\n  \"model\": \"{}\"\n}}\n",
-        host_cores,
+        "{{\n  \"bench\": \"analysis_fixpoint\",\n  \"unit\": \"ns_per_analysis\",\n  \"apps\": [\n{}\n  ],\n  \"total_serial_ns\": {},\n  \"total_incremental_ns\": {},\n  \"incremental_speedup\": {:.2},\n  \"incremental_matches_cold\": true\n}}\n",
         json_rows.join(",\n"),
         total_serial,
-        total_jobs8_wall,
         total_incremental,
-        corpus_jobs8_projected,
-        jobs8_speedup,
-        jobs8_wall_speedup,
         incremental_speedup,
-        all_identical,
-        model
     );
     let path = "BENCH_analysis.json";
     std::fs::write(path, json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
     println!(
-        "full corpus: jobs=8 speedup {jobs8_speedup:.2}x projected ({jobs8_wall_speedup:.2}x wall on {host_cores}-core host), one-module incremental speedup {incremental_speedup:.2}x, bit-identical: {all_identical}"
+        "full corpus: one-module incremental speedup {incremental_speedup:.2}x (measured wall time), incremental output matches cold on every app"
     );
     println!("wrote {path}");
+    ExitCode::SUCCESS
 }

@@ -57,9 +57,11 @@ pub struct DebloatOptions {
     /// analysis-mode comparisons and incremental retrims to skip probes
     /// whose inputs have not changed. `None` disables cross-run caching.
     pub probe_cache: Option<Arc<ProbeCache>>,
-    /// Worker threads for the sharded static-analysis fixpoint (1 = serial;
-    /// any value produces bit-identical analyses). DD probing itself is
-    /// always sequential, as in the paper.
+    /// Must be 1: the static analysis and DD both run sequentially, as in
+    /// the paper, and any other value is a
+    /// [`TrimError::Config`](crate::TrimError::Config). Kept only because
+    /// existing struct literals name it; it goes with the next change to
+    /// the end-to-end benchmark.
     pub jobs: usize,
     /// Cross-run static-analysis summary cache. Share one
     /// [`trim_analysis::summary::SummaryCache`] across retrims so registry

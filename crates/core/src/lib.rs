@@ -87,8 +87,8 @@ pub enum TrimError {
     /// The unmodified application failed its own oracle run — DD requires
     /// the original program to satisfy the oracle.
     Baseline(pylite::PyErr),
-    /// The requested option combination is unsupported (e.g. zero
-    /// analysis workers).
+    /// The requested option combination is unsupported (e.g. analysis
+    /// `jobs` other than 1).
     Config(String),
     /// The trimmed application's final oracle run differs from the
     /// baseline on the named observable channel. Every path that emits a

@@ -121,10 +121,11 @@ pub(crate) fn trim_seeded(
     options: &DebloatOptions,
     log: Option<&TrimLog>,
 ) -> Result<TrimReport, TrimError> {
-    if options.jobs == 0 {
-        return Err(TrimError::Config(
-            "analysis jobs must be at least 1".to_owned(),
-        ));
+    if options.jobs != 1 {
+        return Err(TrimError::Config(format!(
+            "analysis runs serially; jobs must be 1, got {}",
+            options.jobs
+        )));
     }
     // 1. Baseline run (with init snapshots when enabled, warming the
     //    registry family's shared snapshot store for the DD probes).
@@ -620,6 +621,18 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, TrimError::Baseline(_) | TrimError::Parse(_)));
+    }
+
+    #[test]
+    fn parallel_analysis_is_a_config_error() {
+        for jobs in [0, 2] {
+            let options = DebloatOptions {
+                jobs,
+                ..DebloatOptions::default()
+            };
+            let err = trim_app(&corpus(), APP, &spec(), &options).unwrap_err();
+            assert!(matches!(err, TrimError::Config(_)), "jobs = {jobs}: {err}");
+        }
     }
 
     #[test]

@@ -40,7 +40,6 @@ trim:
     --out <DIR>         output directory for trimmed packages
     --k <N>             modules to debloat                [default: 20]
     --scoring <M>       combined|time|memory|random      [default: combined]
-    --jobs <N>          parallel static-analysis workers  [default: 1]
     --algorithm <A>     ddmin|greedy                      [default: ddmin]
     --engine <E>        oracle execution tier: vm|tree    [default: vm]
     --no-slice          skip statement-level selective-init slicing of kept
@@ -52,7 +51,6 @@ profile:
     --scoring <M>       ranking method                    [default: combined]
 
 analyze:
-    --jobs <N>          parallel static-analysis workers  [default: 1]
     --hazards           print only the hazard report: per-module hazard
                         attributes and the lint(s) that produced them
     --json              with --hazards, emit the report as JSON
@@ -103,19 +101,18 @@ fn main() -> ExitCode {
 
 /// Options every app-loading command takes.
 const COMMON_OPTIONS: [&str; 3] = ["app", "packages", "handler"];
-const TRIM_OPTIONS: [&str; 9] = [
+const TRIM_OPTIONS: [&str; 8] = [
     "oracle",
     "out",
     "k",
     "scoring",
-    "jobs",
     "algorithm",
     "engine",
     "no-slice",
     "wrap",
 ];
 const PROFILE_OPTIONS: [&str; 2] = ["k", "scoring"];
-const ANALYZE_OPTIONS: [&str; 3] = ["jobs", "hazards", "json"];
+const ANALYZE_OPTIONS: [&str; 2] = ["hazards", "json"];
 const RUN_OPTIONS: [&str; 2] = ["event", "context"];
 const SIMULATE_OPTIONS: [&str; 12] = [
     "trace",
@@ -157,7 +154,6 @@ fn debloat_options(args: &Args) -> Result<DebloatOptions, String> {
     if let Some(s) = args.get("scoring") {
         options.scoring = parse_scoring(s)?;
     }
-    options.jobs = analysis_jobs(args)?;
     if let Some(a) = args.get("algorithm") {
         options.algorithm = match a {
             "ddmin" => trim_core::Algorithm::Ddmin,
@@ -181,7 +177,7 @@ fn debloat_options(args: &Args) -> Result<DebloatOptions, String> {
     Ok(options)
 }
 
-fn analysis_jobs(args: &Args) -> Result<usize, String> {
+fn replay_jobs(args: &Args) -> Result<usize, String> {
     let Some(j) = args.get("jobs") else {
         return Ok(1);
     };
@@ -259,14 +255,13 @@ fn cmd_profile(args: &Args) -> Result<(), String> {
 fn cmd_analyze(args: &Args) -> Result<(), String> {
     check_app_options(args, "analyze", &ANALYZE_OPTIONS)?;
     let (registry, app_source, handler) = load_inputs(args)?;
-    let jobs = analysis_jobs(args)?;
     let program = pylite::parse(&app_source).map_err(|e| e.to_string())?;
+    check_handler(&program, &handler, args.require("app")?)?;
     let full = trim_analysis::analyze_full(
         &program,
         &registry,
         &trim_analysis::AnalysisOptions {
             entry: Some(handler),
-            jobs,
             ..trim_analysis::AnalysisOptions::default()
         },
     );
@@ -323,6 +318,31 @@ fn cmd_analyze(args: &Args) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+/// Reject a `handler` that is not a top-level function of the app: the
+/// call graph would silently treat every app function as unreachable.
+fn check_handler(program: &pylite::Program, handler: &str, app_path: &str) -> Result<(), String> {
+    let functions: Vec<&str> = program
+        .body
+        .iter()
+        .filter_map(|stmt| match stmt {
+            pylite::ast::Stmt::FuncDef(f) => Some(f.name.as_str()),
+            _ => None,
+        })
+        .collect();
+    if functions.contains(&handler) {
+        return Ok(());
+    }
+    let listed = if functions.is_empty() {
+        "none".to_owned()
+    } else {
+        functions.join(", ")
+    };
+    Err(format!(
+        "handler `{handler}` is not a top-level function of {app_path} \
+         (top-level functions: {listed})"
+    ))
 }
 
 /// Print the per-module hazard report for `analyze --hazards`: each
@@ -471,7 +491,7 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
     };
 
     let mut options = ReplayOptions {
-        jobs: analysis_jobs(args)?,
+        jobs: replay_jobs(args)?,
         ..ReplayOptions::default()
     };
     if let Some(list) = args.get("keep-alive") {
@@ -680,14 +700,38 @@ mod tests {
             err.contains("unknown option `--stream` for `analyze`"),
             "{err}"
         );
+        // `--jobs` sets replay workers for `simulate` only: the static
+        // analysis and DD run serially.
+        let err = cmd_trim(&args(&["trim", "--app", "a.py", "--jobs", "2"]))
+            .expect_err("trim takes no --jobs");
+        assert!(err.contains("unknown option `--jobs` for `trim`"), "{err}");
+        assert!(err.contains("--oracle"), "lists the valid options: {err}");
+        let err = cmd_analyze(&args(&["analyze", "--app", "a.py", "--jobs", "2"]))
+            .expect_err("analyze takes no --jobs");
+        assert!(
+            err.contains("unknown option `--jobs` for `analyze`"),
+            "{err}"
+        );
+        assert!(err.contains("--hazards"), "lists the valid options: {err}");
+        cmd_simulate(&args(&[
+            "simulate",
+            "--stream",
+            "--functions",
+            "4",
+            "--window-secs",
+            "600",
+            "--jobs",
+            "2",
+        ]))
+        .expect("simulate keeps --jobs");
     }
 
     #[test]
     fn hazard_flags_parse_as_bare_switches() {
-        let a = args(&["analyze", "--hazards", "--json", "--jobs", "2"]);
+        let a = args(&["analyze", "--hazards", "--json", "--app", "a.py"]);
         assert!(a.has_flag("hazards"));
         assert!(a.has_flag("json"));
-        assert_eq!(analysis_jobs(&a).unwrap(), 2);
+        assert_eq!(a.get("app"), Some("a.py"));
     }
 
     #[test]
@@ -752,16 +796,46 @@ mod tests {
 
     #[test]
     fn jobs_flag_is_parsed_and_validated() {
-        assert_eq!(analysis_jobs(&args(&[])).unwrap(), 1);
-        assert_eq!(analysis_jobs(&args(&["--jobs", "8"])).unwrap(), 8);
-        let opts = debloat_options(&args(&["--jobs", "4"])).unwrap();
-        assert_eq!(opts.jobs, 4);
-        let err = analysis_jobs(&args(&["--jobs", "0"])).expect_err("zero jobs rejected");
+        assert_eq!(replay_jobs(&args(&[])).unwrap(), 1);
+        assert_eq!(replay_jobs(&args(&["--jobs", "8"])).unwrap(), 8);
+        let err = replay_jobs(&args(&["--jobs", "0"])).expect_err("zero jobs rejected");
         assert!(err.contains("--jobs"), "{err}");
-        let err = analysis_jobs(&args(&["--jobs", "lots"])).expect_err("non-numeric rejected");
+        let err = replay_jobs(&args(&["--jobs", "lots"])).expect_err("non-numeric rejected");
         assert!(err.contains("--jobs"), "{err}");
-        let err = debloat_options(&args(&["--jobs", "0"])).expect_err("zero jobs rejected");
-        assert!(err.contains("--jobs"), "{err}");
+    }
+
+    #[test]
+    fn analyze_rejects_a_missing_handler() {
+        let dir = std::env::temp_dir().join(format!("lambda_trim_handler_{}", std::process::id()));
+        let packages = dir.join("packages");
+        std::fs::create_dir_all(&packages).unwrap();
+        let app = dir.join("app.py");
+        std::fs::write(
+            &app,
+            "def handler(event, context):\n    return 1\ndef helper():\n    return 2\n",
+        )
+        .unwrap();
+        let run = |handler: &str| {
+            cmd_analyze(&args(&[
+                "analyze",
+                "--app",
+                app.to_str().unwrap(),
+                "--packages",
+                packages.to_str().unwrap(),
+                "--handler",
+                handler,
+            ]))
+        };
+        let missing = run("nosuch");
+        let present = run("helper");
+        std::fs::remove_dir_all(&dir).ok();
+        let err = missing.expect_err("a handler the app does not define");
+        assert!(err.contains("handler `nosuch`"), "{err}");
+        assert!(
+            err.contains("handler, helper"),
+            "lists the functions: {err}"
+        );
+        present.expect("any top-level function can be the handler");
     }
 
     #[test]
@@ -777,8 +851,8 @@ mod tests {
         let err = debloat_options(&args(&["--no-slice", "yes"])).expect_err("value rejected");
         assert!(err.contains("--no-slice takes no value"), "{err}");
         // Followed by another flag it parses as the boolean it is.
-        let opts = debloat_options(&args(&["--no-slice", "--jobs", "2"])).unwrap();
+        let opts = debloat_options(&args(&["--no-slice", "--engine", "tree"])).unwrap();
         assert!(!opts.slice_init);
-        assert_eq!(opts.jobs, 2);
+        assert_eq!(opts.engine, trim_core::Engine::Tree);
     }
 }

@@ -9,7 +9,7 @@
 //! trim decision must be identical with the cache on or off. This test
 //! runs the full 21-app corpus live next to captured-then-replayed runs
 //! under both engines, and asserts mini-corpus trim reports agree between
-//! replay-on and replay-off across `--jobs` (trims over the full corpus
+//! replay-on and replay-off (trims over the full corpus
 //! are minutes-long in debug builds; see `differential_vm` for the same
 //! trade-off).
 
@@ -96,18 +96,16 @@ fn capture_behavior(
     out
 }
 
-/// Render one app's trim outcome under `engine` with `jobs` analysis
-/// workers and the snapshot cache on or off.
+/// Render one app's trim outcome under `engine` with the snapshot cache
+/// on or off.
 fn capture_trim(
     app: &lambda_trim::trim_apps::BenchApp,
     engine: Engine,
-    jobs: usize,
     init_snapshots: bool,
 ) -> String {
     let mut out = String::new();
     let options = DebloatOptions {
         engine,
-        jobs,
         init_snapshots,
         ..DebloatOptions::default()
     };
@@ -171,18 +169,16 @@ fn replay_matches_live_on_full_corpus_behavior() {
 }
 
 #[test]
-fn replay_matches_disabled_on_trim_reports_across_engines_and_jobs() {
+fn replay_matches_disabled_on_trim_reports_across_engines() {
     for app in lambda_trim::trim_apps::mini_corpus() {
         for engine in [Engine::Vm, Engine::Tree] {
-            let off = capture_trim(&app, engine, 1, false);
-            for jobs in [1, 2, 8] {
-                let on = capture_trim(&app, engine, jobs, true);
-                assert_eq!(
-                    on, off,
-                    "{} ({engine:?}, jobs={jobs}): snapshot replay changed the trim report",
-                    app.name
-                );
-            }
+            let off = capture_trim(&app, engine, false);
+            let on = capture_trim(&app, engine, true);
+            assert_eq!(
+                on, off,
+                "{} ({engine:?}): snapshot replay changed the trim report",
+                app.name
+            );
         }
     }
 }

@@ -8,8 +8,7 @@
 //! attribute must be byte-identical, and trim decisions (kept/removed
 //! attribute sets) must not depend on whether slicing runs. This test
 //! slices every module of the full 21-app corpus under both engines, runs
-//! mini-corpus trims across `--engine tree|vm` and `--jobs` ∈ {1, 2, 8},
-//! and property-tests the static slice on randomized init bodies.
+//! mini-corpus trims under `--engine tree|vm`, and property-tests the static slice on randomized init bodies.
 
 use lambda_trim::pylite::{py_repr, Engine, Interpreter, Registry};
 use lambda_trim::trim_core::oracle::{parse_literal, run_app};
@@ -125,17 +124,15 @@ fn sliced_modules_match_unsliced_on_full_corpus() {
     );
 }
 
-/// Render a trim's DD outcome (engine/jobs/slice-invariant) and its
-/// slice outcome (identical across the slice-on grid).
+/// Render a trim's DD outcome (engine- and slice-invariant) and its
+/// slice outcome (identical across engines).
 fn capture_trim(
     app: &lambda_trim::trim_apps::BenchApp,
     engine: Engine,
-    jobs: usize,
     slice_init: bool,
 ) -> (String, String, f64) {
     let options = DebloatOptions {
         engine,
-        jobs,
         slice_init,
         ..DebloatOptions::default()
     };
@@ -175,32 +172,30 @@ fn capture_trim(
 }
 
 #[test]
-fn slice_on_trims_match_slice_off_dd_results_across_engines_and_jobs() {
+fn slice_on_trims_match_slice_off_dd_results_across_engines() {
     for app in lambda_trim::trim_apps::mini_corpus() {
-        let (dd_off, _, init_off) = capture_trim(&app, Engine::Vm, 1, false);
+        let (dd_off, _, init_off) = capture_trim(&app, Engine::Vm, false);
         let mut slice_grid: Option<String> = None;
         for engine in [Engine::Vm, Engine::Tree] {
-            for jobs in [1usize, 2, 8] {
-                let (dd_on, slice_on, init_on) = capture_trim(&app, engine, jobs, true);
-                assert_eq!(
-                    dd_on, dd_off,
-                    "{} ({engine:?}, jobs={jobs}): slicing changed DD results",
+            let (dd_on, slice_on, init_on) = capture_trim(&app, engine, true);
+            assert_eq!(
+                dd_on, dd_off,
+                "{} ({engine:?}): slicing changed DD results",
+                app.name
+            );
+            assert!(
+                init_on <= init_off,
+                "{} ({engine:?}): slicing must never cost init time \
+                 ({init_on} vs {init_off})",
+                app.name
+            );
+            match &slice_grid {
+                None => slice_grid = Some(slice_on),
+                Some(first) => assert_eq!(
+                    &slice_on, first,
+                    "{} ({engine:?}): slice outcome varies across engines",
                     app.name
-                );
-                assert!(
-                    init_on <= init_off,
-                    "{} ({engine:?}, jobs={jobs}): slicing must never cost init time \
-                     ({init_on} vs {init_off})",
-                    app.name
-                );
-                match &slice_grid {
-                    None => slice_grid = Some(slice_on),
-                    Some(first) => assert_eq!(
-                        &slice_on, first,
-                        "{} ({engine:?}, jobs={jobs}): slice outcome varies across the grid",
-                        app.name
-                    ),
-                }
+                ),
             }
         }
     }

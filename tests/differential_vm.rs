@@ -8,7 +8,7 @@
 //! this test runs the *live* tree-walker next to the VM over the full
 //! 21-app corpus and asserts the renderings are identical — including the
 //! meter, since virtual cost decides what λ-trim removes — and that
-//! mini-corpus trim reports agree across engines and `--jobs`.
+//! mini-corpus trim reports agree across engines.
 
 use lambda_trim::pylite::{py_repr, Engine, Interpreter};
 use lambda_trim::trim_core::oracle::parse_literal;
@@ -70,13 +70,12 @@ fn capture_behavior(app: &lambda_trim::trim_apps::BenchApp, engine: Engine) -> S
     out
 }
 
-/// Render one app's trim outcome under `engine` with `jobs` analysis
-/// workers: per-module kept/removed lists, fallbacks, and cost summary.
-fn capture_trim(app: &lambda_trim::trim_apps::BenchApp, engine: Engine, jobs: usize) -> String {
+/// Render one app's trim outcome under `engine`: per-module kept/removed
+/// lists, fallbacks, and cost summary.
+fn capture_trim(app: &lambda_trim::trim_apps::BenchApp, engine: Engine) -> String {
     let mut out = String::new();
     let options = DebloatOptions {
         engine,
-        jobs,
         ..DebloatOptions::default()
     };
     let report = lambda_trim::trim_app(&app.registry, &app.app_source, &app.spec, &options)
@@ -130,18 +129,12 @@ fn vm_matches_tree_walker_on_full_corpus_behavior() {
 }
 
 #[test]
-fn vm_matches_tree_walker_on_trim_results_across_jobs() {
+fn vm_matches_tree_walker_on_trim_results() {
     // Full-corpus trims are minutes-long in debug builds; the mini corpus
     // exercises the same DD/oracle/rewrite machinery at test-friendly cost.
     for app in lambda_trim::trim_apps::mini_corpus() {
-        let tree = capture_trim(&app, Engine::Tree, 1);
-        for jobs in [1, 2] {
-            let vm = capture_trim(&app, Engine::Vm, jobs);
-            assert_eq!(
-                vm, tree,
-                "{}: vm trim (jobs={jobs}) diverged from tree-walker",
-                app.name
-            );
-        }
+        let tree = capture_trim(&app, Engine::Tree);
+        let vm = capture_trim(&app, Engine::Vm);
+        assert_eq!(vm, tree, "{}: vm trim diverged from tree-walker", app.name);
     }
 }
