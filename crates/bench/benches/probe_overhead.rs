@@ -1,39 +1,34 @@
-//! Per-probe registry setup cost, isolated from oracle execution.
+//! Per-probe cost of a DD probe built from rewritten source against one
+//! built as a keep-mask over the module's compiled code, oracle run
+//! included (see `trim_bench::probe_cost`).
 //!
-//! Every DD probe needs a candidate registry: the corpus with exactly one
-//! module rewritten. Before the copy-on-write registry this meant
-//! serializing all sources, rebuilding a fresh `Registry`, and re-parsing
-//! every module (`snapshot-rebuild` below). Now it is one cheap clone plus
-//! one `set_module` plus one parse (`cow-overlay`); `clone` alone shows the
-//! raw pointer-bump cost of sharing the base.
+//! Each probe keeps every attribute of the app's Table 3 example module.
+//! `source-probe` rewrites, unparses, installs and recompiles the module;
+//! `mask-probe` runs the base module's compiled code under the mask.
 
+use std::collections::BTreeSet;
 use std::hint::black_box;
 use trim_bench::micro::Runner;
-use trim_bench::probe_cost::{cow_overlay, snapshot_rebuild};
+use trim_bench::probe_cost::{mask_probe, source_probe};
+use trim_core::{module_attributes, BindingTable};
 
 fn main() {
     let runner = Runner::new();
-    for name in ["markdown", "scikit", "lightgbm", "spacy"] {
-        let bench = trim_apps::app(name).expect("corpus app");
-        let registry = bench.registry;
-        // The debloater's baseline oracle run parses every module before the
-        // first probe, so probes start from a warm shared parse cache.
-        for module in registry.module_names() {
-            let _ = registry.parse_module(&module);
-        }
-        let module = bench.example_module;
-        let replacement = registry
-            .source(&module)
-            .expect("example module present")
-            .to_string();
-        runner.bench(&format!("probe-overhead/{name}/snapshot-rebuild"), || {
-            black_box(snapshot_rebuild(&registry, &module, &replacement))
+    for name in ["markdown", "scikit", "lightgbm", "huggingface"] {
+        let app = trim_apps::app(name).expect("corpus app");
+        let module = app.example_module.clone();
+        let program = app.registry.parse_module(&module).expect("module parses");
+        let keep: BTreeSet<String> = module_attributes(&program).into_iter().collect();
+        let table = BindingTable::new(&program);
+        // Warm the shared caches like the pipeline's baseline run, and keep
+        // the probed module live like every new DD candidate.
+        assert!(mask_probe(&app, &module, &table, &keep));
+        app.registry.snapshot_store().deny(&module);
+        runner.bench(&format!("probe-overhead/{name}/source-probe"), || {
+            black_box(source_probe(&app, &module, &program, &keep))
         });
-        runner.bench(&format!("probe-overhead/{name}/cow-overlay"), || {
-            black_box(cow_overlay(&registry, &module, &replacement))
-        });
-        runner.bench(&format!("probe-overhead/{name}/clone"), || {
-            black_box(registry.clone())
+        runner.bench(&format!("probe-overhead/{name}/mask-probe"), || {
+            black_box(mask_probe(&app, &module, &table, &keep))
         });
     }
 }

@@ -1,59 +1,71 @@
-//! Per-probe registry setup cost: what the debloater pays to materialize one
-//! candidate registry before running the oracle.
+//! Per-probe cost of the two ways to build a DD probe, each including the
+//! oracle run.
 //!
-//! Before the copy-on-write registry, every parallel probe serialized the
-//! whole corpus into `(name, source)` pairs, rebuilt a fresh [`Registry`],
-//! and re-parsed every module from scratch ([`snapshot_rebuild`] reproduces
-//! that exactly). The COW path ([`cow_overlay`]) bumps one `Arc` per module
-//! and parses only the single rewritten module — everything else shares the
-//! base registry's parse slots.
+//! A **source probe** ([`source_probe`]) is what the debloater did before
+//! mask probes: rewrite the module's AST to the keep set, unparse it,
+//! install the text with [`Registry::with_module`], then lex, parse,
+//! resolve and compile it when the app imports it. A **mask probe**
+//! ([`mask_probe`]) builds the keep set's [`pylite::KeepMask`] and runs the
+//! base module's compiled code under it ([`Registry::with_mask`]). Both run
+//! the app's oracle cases on the VM with init snapshots on, as DD does; the
+//! probed module is denied snapshot replay so every run executes it, as
+//! every new DD candidate does.
+//!
+//! This is a per-layer measurement: the end-to-end effect is the
+//! `cold-trim` pass time of the e2e benchmark.
 
+use std::collections::BTreeSet;
+use std::sync::Arc;
 use std::time::Instant;
 
-use pylite::Registry;
+use pylite::{Engine, Program, Registry};
+use trim_apps::BenchApp;
+use trim_core::{module_attributes, rewrite_module, run_app_measured_opts, BindingTable};
 
-/// The pre-COW per-probe setup: serialize → rebuild → re-parse everything.
-pub fn snapshot_rebuild(base: &Registry, module: &str, replacement: &str) -> Registry {
-    let snapshot: Vec<(String, String)> = base
-        .module_names()
-        .into_iter()
-        .map(|name| {
-            let source = base.source(&name).expect("listed module").to_string();
-            (name, source)
-        })
-        .collect();
-    let mut rebuilt = Registry::new();
-    for (name, source) in snapshot {
-        rebuilt.set_module(name, source);
-    }
-    rebuilt.set_module(module, replacement.to_string());
-    for name in rebuilt.module_names() {
-        let _ = rebuilt.parse_module(&name);
-    }
-    rebuilt
+/// One probe of `module` keeping `keep`, built from rewritten source.
+/// Returns whether the app ran without error.
+pub fn source_probe(
+    app: &BenchApp,
+    module: &str,
+    program: &Program,
+    keep: &BTreeSet<String>,
+) -> bool {
+    let overlay = app
+        .registry
+        .with_module(module, pylite::unparse(&rewrite_module(program, keep)));
+    run(app, &overlay)
 }
 
-/// The COW per-probe setup: clone shares every unchanged module's source and
-/// parse result; only the rewritten module is stored (and parsed) anew.
-pub fn cow_overlay(base: &Registry, module: &str, replacement: &str) -> Registry {
-    let overlay = base.with_module(module, replacement.to_string());
-    let _ = overlay.parse_module(module);
-    overlay
+/// The same probe as a keep-mask over the module's compiled code.
+pub fn mask_probe(
+    app: &BenchApp,
+    module: &str,
+    table: &BindingTable,
+    keep: &BTreeSet<String>,
+) -> bool {
+    let overlay = app.registry.with_mask(module, Arc::new(table.mask(keep)));
+    run(app, &overlay)
 }
 
-/// Median per-iteration cost of both setup strategies for one app.
+fn run(app: &BenchApp, registry: &Registry) -> bool {
+    let (result, _) = run_app_measured_opts(registry, &app.app_source, &app.spec, Engine::Vm, true);
+    result.is_ok()
+}
+
+/// Median per-probe cost of both probe builds for one app.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProbeCost {
-    /// Median nanoseconds per snapshot-rebuild probe setup.
-    pub snapshot_ns: u64,
-    /// Median nanoseconds per COW-overlay probe setup.
-    pub overlay_ns: u64,
+    /// Median nanoseconds per source probe (rewrite, unparse, overlay,
+    /// lex, parse, resolve, compile, run).
+    pub source_ns: u64,
+    /// Median nanoseconds per mask probe (mask, overlay, run).
+    pub mask_ns: u64,
 }
 
 impl ProbeCost {
-    /// How many times cheaper the overlay setup is.
+    /// How many times cheaper the mask probe is.
     pub fn speedup(&self) -> f64 {
-        self.snapshot_ns as f64 / self.overlay_ns.max(1) as f64
+        self.source_ns as f64 / self.mask_ns.max(1) as f64
     }
 }
 
@@ -71,68 +83,62 @@ fn median_ns<F: FnMut()>(mut f: F, samples: usize, iters: u32) -> u64 {
     timings[timings.len() / 2]
 }
 
-/// Measure both setup strategies on `base`, replacing `module` with
-/// `replacement`. The base parse cache is warmed first, matching the
-/// debloater (the baseline oracle run parses every module before probing).
-pub fn measure(base: &Registry, module: &str, replacement: &str, iters: u32) -> ProbeCost {
-    for name in base.module_names() {
-        let _ = base.parse_module(&name);
-    }
-    let snapshot_ns = median_ns(
+/// Measure both probe builds on `app`'s Table 3 example module, keeping
+/// every attribute (the first candidate ddmin tests). The baseline run
+/// warms the registry's shared caches first, as the pipeline's does.
+pub fn measure(app: &BenchApp, iters: u32) -> ProbeCost {
+    let module = app.example_module.as_str();
+    let program = app
+        .registry
+        .parse_module(module)
+        .expect("example module parses");
+    let keep: BTreeSet<String> = module_attributes(&program).into_iter().collect();
+    let table = BindingTable::new(&program);
+    assert!(run(app, &app.registry), "{}: baseline run fails", app.name);
+    app.registry.snapshot_store().deny(module);
+    let source_ns = median_ns(
         || {
-            std::hint::black_box(snapshot_rebuild(base, module, replacement));
+            std::hint::black_box(source_probe(app, module, &program, &keep));
         },
         9,
         iters,
     );
-    let overlay_ns = median_ns(
+    let mask_ns = median_ns(
         || {
-            std::hint::black_box(cow_overlay(base, module, replacement));
+            std::hint::black_box(mask_probe(app, module, &table, &keep));
         },
         9,
         iters,
     );
-    ProbeCost {
-        snapshot_ns,
-        overlay_ns,
-    }
+    ProbeCost { source_ns, mask_ns }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn base() -> Registry {
-        let mut reg = Registry::new();
-        for i in 0..6 {
-            reg.set_module(
-                format!("mod{i}"),
-                format!("def f{i}(x):\n    return x + {i}\n"),
+    #[test]
+    fn both_probes_agree_on_every_keep_set_size() {
+        let app = trim_apps::app("markdown").expect("corpus app");
+        let module = app.example_module.clone();
+        let program = app.registry.parse_module(&module).unwrap();
+        let table = BindingTable::new(&program);
+        let attrs = module_attributes(&program);
+        for n in [0, attrs.len() / 2, attrs.len()] {
+            let keep: BTreeSet<String> = attrs.iter().take(n).cloned().collect();
+            assert_eq!(
+                source_probe(&app, &module, &program, &keep),
+                mask_probe(&app, &module, &table, &keep),
+                "keep {keep:?}"
             );
         }
-        reg
     }
 
     #[test]
-    fn both_strategies_produce_the_same_registry() {
-        let base = base();
-        let replacement = "def f0(x):\n    return x\n";
-        let a = snapshot_rebuild(&base, "mod0", replacement);
-        let b = cow_overlay(&base, "mod0", replacement);
-        assert_eq!(a, b);
-        assert_eq!(a.fingerprint(), b.fingerprint());
-    }
-
-    #[test]
-    fn overlay_is_cheaper_than_snapshot_rebuild() {
-        let base = base();
-        let cost = measure(&base, "mod0", "def f0(x):\n    return x\n", 50);
-        assert!(
-            cost.overlay_ns <= cost.snapshot_ns,
-            "overlay {} ns should not exceed snapshot rebuild {} ns",
-            cost.overlay_ns,
-            cost.snapshot_ns
-        );
-        assert!(cost.speedup() >= 1.0);
+    fn measure_times_both_probes() {
+        let app = trim_apps::app("markdown").expect("corpus app");
+        let cost = measure(&app, 2);
+        assert!(cost.source_ns > 0 && cost.mask_ns > 0);
+        assert!(cost.speedup() > 0.0);
     }
 }

@@ -57,7 +57,9 @@ pub fn module_attributes(program: &Program) -> Vec<String> {
     out
 }
 
-fn target_names(target: &pylite::ast::Expr) -> Vec<String> {
+/// The plain names an assignment target binds, through tuple and list
+/// targets.
+pub(crate) fn target_names(target: &pylite::ast::Expr) -> Vec<String> {
     use pylite::ast::Expr;
     match target {
         Expr::Name(n) => vec![n.clone()],

@@ -5,7 +5,7 @@
 use crate::attributes::module_attributes;
 use crate::oracle::{run_app_measured_opts, Execution, OracleSpec};
 use crate::probe_cache::{app_fingerprint, ProbeCache, ProbeKey};
-use crate::rewrite::rewrite_module;
+use crate::rewrite::BindingTable;
 use crate::TrimError;
 use pylite::{Engine, Registry};
 use std::collections::BTreeSet;
@@ -260,10 +260,12 @@ pub(crate) fn debloat_module_seeded(
     // Probe time accumulates in whole virtual nanoseconds.
     let mut spent_nanos = 0u64;
 
-    // One probe = one copy-on-write overlay over the working registry: the
-    // base's sources and parse results are shared (O(modules) pointer
-    // bumps), only the rewritten module gets a fresh entry. Verdicts are
-    // memoized in the cross-run probe cache when one is attached.
+    // One probe = one masked overlay over the working registry: the module
+    // keeps its parsed, resolved and compiled code and runs only the
+    // statements the candidate's keep-mask keeps (DESIGN.md §16); every
+    // other module is shared as is. Verdicts are memoized in the cross-run
+    // probe cache when one is attached.
+    let table = BindingTable::new(&program);
     let app_fp = app_fingerprint(app_source, spec);
     let mut oracle = |subset: &[String]| -> bool {
         let keep: BTreeSet<String> = fixed.iter().chain(subset).cloned().collect();
@@ -276,8 +278,7 @@ pub(crate) fn debloat_module_seeded(
                 return verdict;
             }
         }
-        let rewritten = rewrite_module(&program, &keep);
-        let candidate_registry = work.with_module(module, pylite::unparse(&rewritten));
+        let candidate_registry = work.with_mask(module, Arc::new(table.mask(&keep)));
         let (result, secs) = run_app_measured_opts(
             &candidate_registry,
             app_source,
@@ -318,7 +319,9 @@ pub(crate) fn debloat_module_seeded(
         Ok(result) => {
             let survivors: BTreeSet<String> = result.minimized.iter().cloned().collect();
             let keep: BTreeSet<String> = fixed.iter().cloned().chain(survivors).collect();
-            let rewritten = rewrite_module(&program, &keep);
+            // The one source round trip of the run: the passing probe's
+            // mask, applied to the AST.
+            let rewritten = table.mask(&keep).apply(&program);
             let original_source = work.source(module).expect("module has source").to_owned();
             work.set_module(module, pylite::unparse(&rewritten));
             // Defense in depth: re-verify the committed module against the
@@ -571,6 +574,41 @@ mod tests {
         assert!(report.kept.contains(&"Linear".to_owned()));
         let after = run_app(&work, APP, &spec()).unwrap();
         assert!(after.behavior_eq(&expected));
+    }
+
+    #[test]
+    fn a_candidate_that_recurses_without_bound_is_a_failed_probe() {
+        // Without `helper`, `f` retries itself until the call-depth limit.
+        let f = "def f(n):\n    try:\n        return helper(n)\n    except NameError:\n        return f(n + 1)\n";
+        let mut work = Registry::new();
+        work.set_module(
+            "m",
+            format!("{f}def helper(n):\n    return n\ndef unused():\n    return 0\n"),
+        );
+        let app = "import m\ndef handler(event, context):\n    return m.f(1)\n";
+        let expected = run_app(&work, app, &spec()).unwrap();
+        let broken = work.with_module("m", f);
+        let err = run_app(&broken, app, &spec()).unwrap_err();
+        assert_eq!(err.kind, pylite::ExcKind::RecursionError);
+        for engine in [Engine::Vm, Engine::Tree] {
+            let mut trimmed = work.clone();
+            let options = DebloatOptions {
+                engine,
+                ..DebloatOptions::default()
+            };
+            let report = debloat_module(
+                &mut trimmed,
+                app,
+                &spec(),
+                &expected,
+                "m",
+                &BTreeSet::new(),
+                &options,
+            )
+            .unwrap();
+            assert_eq!(report.removed, vec!["unused".to_owned()], "{engine:?}");
+            assert_eq!(report.kept, vec!["f".to_owned(), "helper".to_owned()]);
+        }
     }
 
     #[test]

@@ -75,7 +75,7 @@ pub use pipeline::{trim_app, trim_corpus_parallel, CorpusJob, TrimReport};
 pub use probe_cache::{app_fingerprint, ProbeCache, ProbeKey};
 pub use pylite::Engine;
 pub use report::{render as render_report, render_removals};
-pub use rewrite::{rewrite_module, rewrite_source};
+pub use rewrite::{rewrite_module, BindingTable};
 pub use slicer::{slice_modules, SliceReport};
 pub use trim_analysis::AnalysisMode;
 

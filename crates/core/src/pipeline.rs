@@ -612,6 +612,25 @@ mod tests {
     }
 
     #[test]
+    fn runaway_recursion_in_the_baseline_is_an_error() {
+        let mut r = corpus();
+        r.set_module("loop", "def f(n):\n    return f(n + 1)\nx = f(0)\n");
+        let app = "import loop\ndef handler(event, context):\n    return 0\n";
+        for engine in [pylite::Engine::Vm, pylite::Engine::Tree] {
+            let options = DebloatOptions {
+                engine,
+                ..DebloatOptions::default()
+            };
+            match trim_app(&r, app, &spec(), &options) {
+                Err(TrimError::Baseline(e)) => {
+                    assert_eq!(e.kind, pylite::ExcKind::RecursionError, "{engine:?}");
+                }
+                other => panic!("expected a baseline error on {engine:?}, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn unparsable_app_is_an_error() {
         let err = trim_app(
             &corpus(),

@@ -1,93 +1,106 @@
 //! AST rewriting: produce a module that keeps only a chosen attribute set
 //! (§6.3 — "the original `__init__.py` file is retrieved and then modified
 //! based on the attributes that DD currently tests", via a single traversal).
+//!
+//! A keep set becomes a [`KeepMask`] over the module's top-level statements
+//! through a [`BindingTable`] built once per module. DD probes run the mask
+//! directly on the module's compiled code
+//! ([`Registry::with_mask`](pylite::Registry::with_mask)); the committed
+//! source is the same mask applied to the AST, so both come from one keep
+//! decision.
 
+use crate::attributes::{is_magic, target_names};
 use pylite::ast::{Program, Stmt};
+use pylite::{KeepMask, StmtKeep};
 use std::collections::BTreeSet;
 
-/// Rewrite `program` so that only top-level attributes in `keep` remain.
-///
-/// * `def` / `class` definitions whose name is not kept are dropped;
-/// * `x = ...` assignments are dropped when none of their targets is kept;
-/// * `import m` clauses are dropped when their bound name is not kept;
-/// * `from m import a, b` lists are *filtered* — individual names drop out
-///   (the finer-than-statement granularity that §6.1 argues for);
-/// * every other statement (bare expressions, conditionals, loops, try
-///   blocks, magic-attribute assignments) is left untouched;
-/// * an empty result body becomes a single `pass` (Figure 7b).
-pub fn rewrite_module(program: &Program, keep: &BTreeSet<String>) -> Program {
-    let mut body = Vec::with_capacity(program.body.len());
-    for stmt in &program.body {
-        match stmt {
-            Stmt::FuncDef(f) => {
-                if keep.contains(&f.name) || crate::attributes::is_magic(&f.name) {
-                    body.push(stmt.clone());
+/// What each top-level statement of a module binds: the per-module table
+/// every keep set is turned into a [`KeepMask`] through.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BindingTable {
+    stmts: Vec<Binds>,
+}
+
+/// The keep rule of one top-level statement.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Binds {
+    /// Kept under every keep set: non-binding statements, magic names and
+    /// assignments to no plain name.
+    Always,
+    /// A `def`, `class` or assignment, kept if any of its names is kept.
+    Any(Vec<String>),
+    /// An import list: one bound name per item, each kept on its own.
+    Items(Vec<String>),
+}
+
+impl BindingTable {
+    /// Tabulate `program`'s top-level bindings.
+    pub fn new(program: &Program) -> Self {
+        let stmts = program
+            .body
+            .iter()
+            .map(|stmt| match stmt {
+                Stmt::FuncDef(f) => named(vec![f.name.clone()]),
+                Stmt::ClassDef(c) => named(vec![c.name.clone()]),
+                Stmt::Assign { targets, .. } => {
+                    named(targets.iter().flat_map(target_names).collect())
                 }
-            }
-            Stmt::ClassDef(c) => {
-                if keep.contains(&c.name) || crate::attributes::is_magic(&c.name) {
-                    body.push(stmt.clone());
+                Stmt::Import { items } => {
+                    Binds::Items(items.iter().map(|i| i.bound_name().to_owned()).collect())
                 }
-            }
-            Stmt::Assign { targets, .. } => {
-                let names = targets.iter().flat_map(assigned_names).collect::<Vec<_>>();
-                let keep_stmt = names.is_empty()
-                    || names
+                Stmt::FromImport { names, .. } => Binds::Items(
+                    names
                         .iter()
-                        .any(|n| keep.contains(n) || crate::attributes::is_magic(n));
-                if keep_stmt {
-                    body.push(stmt.clone());
-                }
-            }
-            Stmt::Import { items } => {
-                let kept: Vec<_> = items
-                    .iter()
-                    .filter(|i| keep.contains(i.bound_name()))
-                    .cloned()
-                    .collect();
-                if !kept.is_empty() {
-                    body.push(Stmt::Import { items: kept });
-                }
-            }
-            Stmt::FromImport { module, names } => {
-                let kept: Vec<_> = names
-                    .iter()
-                    .filter(|(n, a)| keep.contains(a.as_deref().unwrap_or(n)))
-                    .cloned()
-                    .collect();
-                if !kept.is_empty() {
-                    body.push(Stmt::FromImport {
-                        module: module.clone(),
-                        names: kept,
-                    });
-                }
-            }
-            other => body.push(other.clone()),
-        }
+                        .map(|(n, a)| a.as_deref().unwrap_or(n).to_owned())
+                        .collect(),
+                ),
+                _ => Binds::Always,
+            })
+            .collect();
+        BindingTable { stmts }
     }
-    if body.is_empty() {
-        body.push(Stmt::Pass);
-    }
-    Program { body }
-}
 
-fn assigned_names(target: &pylite::ast::Expr) -> Vec<String> {
-    use pylite::ast::Expr;
-    match target {
-        Expr::Name(n) => vec![n.clone()],
-        Expr::Tuple(items) | Expr::List(items) => items.iter().flat_map(assigned_names).collect(),
-        _ => Vec::new(),
+    /// The mask that keeps exactly the attributes in `keep`:
+    ///
+    /// * `def` / `class` definitions whose name is not kept are dropped;
+    /// * `x = ...` assignments are dropped when none of their targets is
+    ///   kept;
+    /// * `import m` clauses are dropped when their bound name is not kept;
+    /// * `from m import a, b` lists are *filtered* — individual names drop
+    ///   out (the finer-than-statement granularity that §6.1 argues for);
+    /// * every other statement (bare expressions, conditionals, loops, try
+    ///   blocks, magic-attribute assignments) is left untouched;
+    /// * an empty result body becomes a single `pass` (Figure 7b).
+    pub fn mask(&self, keep: &BTreeSet<String>) -> KeepMask {
+        let stmts = self
+            .stmts
+            .iter()
+            .map(|binds| match binds {
+                Binds::Always => StmtKeep::Keep,
+                Binds::Any(names) if names.iter().any(|n| keep.contains(n)) => StmtKeep::Keep,
+                Binds::Any(_) => StmtKeep::Drop,
+                Binds::Items(names) => {
+                    StmtKeep::Items(names.iter().map(|n| keep.contains(n)).collect())
+                }
+            })
+            .collect();
+        KeepMask::new(stmts, true)
     }
 }
 
-/// Rewrite module source text directly: parse, rewrite, unparse.
-///
-/// # Errors
-///
-/// Returns the parse error if `source` is not valid pylite.
-pub fn rewrite_source(source: &str, keep: &BTreeSet<String>) -> Result<String, pylite::ParseError> {
-    let program = pylite::parse(source)?;
-    Ok(pylite::unparse(&rewrite_module(&program, keep)))
+/// The keep rule of a `def`, `class` or assignment binding `names`.
+fn named(names: Vec<String>) -> Binds {
+    if names.is_empty() || names.iter().any(|n| is_magic(n)) {
+        Binds::Always
+    } else {
+        Binds::Any(names)
+    }
+}
+
+/// Rewrite `program` so that only top-level attributes in `keep` remain:
+/// the [`BindingTable::mask`] rules applied to the AST.
+pub fn rewrite_module(program: &Program, keep: &BTreeSet<String>) -> Program {
+    BindingTable::new(program).mask(keep).apply(program)
 }
 
 #[cfg(test)]
@@ -184,12 +197,5 @@ mod tests {
         let all: BTreeSet<String> = module_attributes(&p).into_iter().collect();
         let out = rewrite_module(&p, &all);
         assert_eq!(module_attributes(&out), module_attributes(&p));
-    }
-
-    #[test]
-    fn rewrite_source_helper() {
-        let src = rewrite_source("a = 1\nb = 2\n", &keep(&["b"])).unwrap();
-        assert_eq!(src, "b = 2\n");
-        assert!(rewrite_source("def broken(:\n", &keep(&[])).is_err());
     }
 }

@@ -21,9 +21,10 @@ use crate::attributes::module_attributes;
 use crate::debloater::DebloatOptions;
 use crate::oracle::{run_app_measured_opts, Execution, OracleSpec};
 use crate::TrimError;
-use pylite::Registry;
+use pylite::{KeepMask, Registry};
 use std::collections::BTreeSet;
-use trim_analysis::slice::{slice_init, sliced_program};
+use std::sync::Arc;
+use trim_analysis::slice::slice_init;
 use trim_dd::ddmax_with;
 
 /// The result of slicing one module's init body.
@@ -104,11 +105,10 @@ pub fn slice_modules(
 
         let mut secs = 0.0f64;
         let mut invocations = 0u64;
-        // One probe = one copy-on-write overlay, exactly like a DD probe:
-        // the sliced source replaces the module, everything else is shared.
+        // One probe = one masked overlay, exactly like a DD probe: the
+        // module runs only the kept statements of its compiled body.
         let mut probe = |kept: &[usize], base: &Registry| -> bool {
-            let candidate =
-                base.with_module(module, pylite::unparse(&sliced_program(&program, kept)));
+            let candidate = base.with_mask(module, Arc::new(KeepMask::statements(total, kept)));
             let (result, s) = run_app_measured_opts(
                 &candidate,
                 app_source,
@@ -151,8 +151,9 @@ pub fn slice_modules(
             }
         };
         if let Some(kept) = &committed {
-            // Commit the exact source the passing probe ran.
-            work.set_module(module, pylite::unparse(&sliced_program(&program, kept)));
+            // Commit the passing probe's mask, applied to the AST.
+            let sliced = KeepMask::statements(total, kept).apply(&program);
+            work.set_module(module, pylite::unparse(&sliced));
         }
         reports.push(SliceReport {
             module: module.clone(),
@@ -269,7 +270,8 @@ mod tests {
         // not possible, so assert the refinement contract at the ddmax
         // level instead — the maximal droppable subset keeps seq and limit.
         let probe = |kept: &[usize], base: &Registry| -> bool {
-            let cand = base.with_module("tricky", pylite::unparse(&sliced_program(&program, kept)));
+            let mask = KeepMask::statements(program.body.len(), kept);
+            let cand = base.with_mask("tricky", Arc::new(mask));
             let (result, _) = run_app_measured_opts(&cand, app, &spec(), pylite::Engine::Vm, true);
             matches!(&result, Ok(actual) if actual.behavior_eq(&expected))
         };

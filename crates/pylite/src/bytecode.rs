@@ -212,6 +212,10 @@ struct CComp {
 #[derive(Debug, Default)]
 pub struct CodeObj {
     blocks: Vec<Box<[Insn]>>,
+    /// Where each top-level statement begins in block 0, plus the end of
+    /// block 0: statement `i` is `stmt_starts[i]..stmt_starts[i + 1]`. A
+    /// masked module body runs only the ranges its mask keeps.
+    stmt_starts: Box<[u32]>,
     consts: Vec<Const>,
     strs: Vec<Arc<str>>,
     kwnames: Vec<Box<[Symbol]>>,
@@ -366,11 +370,23 @@ impl Compiler {
         }
     }
 
-    /// Compile `stmts` as block 0 of the code object.
+    /// Compile `stmts` as block 0 of the code object, recording where each
+    /// statement begins. Every statement opens with its own
+    /// [`Insn::StmtTick`] and owes no ticks past its end, so a range runs
+    /// exactly as the statement would in a body of its own.
     fn entry(&mut self, stmts: &[RStmt]) {
         self.code.blocks.push(Box::from([]));
-        let block = self.build_stmts(stmts);
-        self.code.blocks[0] = self.code.blocks.remove(block as usize);
+        let mut b = BlockBuilder::new();
+        let mut starts = Vec::with_capacity(stmts.len() + 1);
+        for s in stmts {
+            b.flush();
+            starts.push(b.insns.len() as u32);
+            self.stmt(&mut b, s);
+        }
+        b.barrier();
+        starts.push(b.insns.len() as u32);
+        self.code.blocks[0] = b.insns.into_boxed_slice();
+        self.code.stmt_starts = starts.into_boxed_slice();
     }
 
     fn build_stmts(&mut self, stmts: &[RStmt]) -> u32 {
@@ -836,7 +852,8 @@ impl Compiler {
 
 // -- virtual machine ------------------------------------------------------
 
-use crate::interp::{unary_op, Env, Flow, Interpreter};
+use crate::interp::{top_level_flow, unary_op, Env, Flow, Interpreter};
+use crate::mask::{kept_items, KeepMask, StmtKeep};
 use crate::value::{py_str, ExcKind, PyErr, Value};
 use std::rc::Rc;
 
@@ -854,31 +871,78 @@ impl Interpreter {
     /// Run a compiled module body (block 0) in `env`. The bytecode twin
     /// of the tree-walker's `exec_block`.
     pub(crate) fn vm_exec_block(&mut self, code: &CodeObj, env: &mut Env) -> Result<(), PyErr> {
-        match self.with_pooled_frame(code, env)? {
-            Flow::Normal => Ok(()),
-            _ => Err(PyErr::new(
-                ExcKind::RuntimeError,
-                "return/break/continue outside of function or loop",
-            )),
-        }
+        let flow = self.with_pooled_frame(|it, frame| it.run_block(code, 0, env, frame))?;
+        top_level_flow(flow)
     }
 
     /// Run a compiled function body and return its control-flow outcome.
     /// The bytecode twin of the tree-walker's `exec_suite`.
     pub(crate) fn vm_run_suite(&mut self, code: &CodeObj, env: &mut Env) -> Result<Flow, PyErr> {
-        self.with_pooled_frame(code, env)
+        self.with_pooled_frame(|it, frame| it.run_block(code, 0, env, frame))
     }
 
-    /// Run block 0 of `code` in a frame drawn from (and returned to) the
-    /// interpreter's frame pool, so nested calls reuse already-grown operand
-    /// stacks instead of re-allocating one `Vec` pair per invocation.
-    fn with_pooled_frame(&mut self, code: &CodeObj, env: &mut Env) -> Result<Flow, PyErr> {
+    /// Run a compiled module body under a keep-mask: the bytecode twin of
+    /// the tree-walker's `exec_masked_block`. Kept statements run as their
+    /// block-0 ranges; an item-masked import runs its prologue, then its
+    /// import instruction over the kept names only.
+    pub(crate) fn vm_exec_masked(
+        &mut self,
+        code: &CodeObj,
+        mask: &KeepMask,
+        env: &mut Env,
+    ) -> Result<(), PyErr> {
+        if mask.runs_pass() {
+            // `pass` compiles to a bare statement prologue.
+            return self.charge_stmt();
+        }
+        self.with_pooled_frame(|it, frame| it.run_masked(code, mask, env, frame))
+    }
+
+    /// Run `f` in a frame drawn from (and returned to) the interpreter's
+    /// frame pool, so nested calls reuse already-grown operand stacks
+    /// instead of re-allocating one `Vec` pair per invocation.
+    fn with_pooled_frame<R>(&mut self, f: impl FnOnce(&mut Self, &mut VmFrame) -> R) -> R {
         let mut frame = self.vm_frames.pop().unwrap_or_default();
-        let result = self.run_block(code, 0, env, &mut frame);
+        let result = f(self, &mut frame);
         frame.stack.clear();
         frame.iters.clear();
         self.vm_frames.push(frame);
         result
+    }
+
+    fn run_masked(
+        &mut self,
+        code: &CodeObj,
+        mask: &KeepMask,
+        env: &mut Env,
+        frame: &mut VmFrame,
+    ) -> Result<(), PyErr> {
+        let starts = &code.stmt_starts;
+        for (i, keep) in mask.stmts().iter().enumerate() {
+            let (start, end) = (starts[i], starts[i + 1]);
+            let flow = match keep {
+                StmtKeep::Drop => continue,
+                StmtKeep::Keep => self.run_range(code, 0, start, end, env, frame)?,
+                StmtKeep::Items(flags) => {
+                    let last = end - 1;
+                    self.run_range(code, 0, start, last, env, frame)?;
+                    match &code.blocks[0][last as usize] {
+                        Insn::Import(k) => {
+                            let items = &code.imports[*k as usize];
+                            self.exec_import(kept_items(items, flags), env)?;
+                        }
+                        Insn::FromImport(k) => {
+                            let (module, names) = &code.from_imports[*k as usize];
+                            self.exec_from_import(module, kept_items(names, flags), env)?;
+                        }
+                        other => unreachable!("item mask on a non-import statement: {other:?}"),
+                    }
+                    Flow::Normal
+                }
+            };
+            top_level_flow(flow)?;
+        }
+        Ok(())
     }
 
     fn run_block(
@@ -888,8 +952,23 @@ impl Interpreter {
         env: &mut Env,
         frame: &mut VmFrame,
     ) -> Result<Flow, PyErr> {
-        let insns: &[Insn] = &code.blocks[block as usize];
-        let mut pc = 0usize;
+        let end = code.blocks[block as usize].len() as u32;
+        self.run_range(code, block, 0, end, env, frame)
+    }
+
+    /// Run instructions `start..end` of `block`. Jumps stay inside the
+    /// range; reaching `end` completes it normally.
+    fn run_range(
+        &mut self,
+        code: &CodeObj,
+        block: u32,
+        start: u32,
+        end: u32,
+        env: &mut Env,
+        frame: &mut VmFrame,
+    ) -> Result<Flow, PyErr> {
+        let insns: &[Insn] = &code.blocks[block as usize][..end as usize];
+        let mut pc = start as usize;
         while let Some(insn) = insns.get(pc) {
             match insn {
                 Insn::StmtTick { extra } => {
@@ -1176,11 +1255,11 @@ impl Interpreter {
                     self.bind_name(c.sym, class, env);
                 }
                 Insn::Import(i) => {
-                    self.exec_import(&code.imports[*i as usize], env)?;
+                    self.exec_import(code.imports[*i as usize].iter(), env)?;
                 }
                 Insn::FromImport(i) => {
                     let (module, names) = &code.from_imports[*i as usize];
-                    self.exec_from_import(module, names, env)?;
+                    self.exec_from_import(module, names.iter(), env)?;
                 }
                 Insn::Del(i) => {
                     self.exec_del(&code.dels[*i as usize], env)?;

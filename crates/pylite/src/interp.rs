@@ -17,6 +17,7 @@
 use crate::ast::{BinOp, BoolOp, CmpOp, UnaryOp};
 use crate::cost::{mb_to_bytes, ms_to_ns, CostModel, Meter};
 use crate::intern::{Interner, Symbol, SymbolHashBuilder};
+use crate::mask::{kept_items, KeepMask, StmtKeep};
 use crate::registry::Registry;
 use crate::resolved::{resolve_program, RClassDef, RExpr, RFuncDef, RStmt};
 use crate::snapshot::{
@@ -205,6 +206,15 @@ pub enum Engine {
 /// deterministic [`ExcKind::ResourceExhausted`] failure the oracle rejects.
 pub const DEFAULT_STEP_LIMIT: u64 = 50_000_000;
 
+/// Maximum nesting of pylite function calls. A call beyond it raises
+/// [`ExcKind::RecursionError`] before touching the meter, identically on
+/// both engines, so runaway recursion becomes a failed run instead of a
+/// native stack overflow. The bound is low because an unoptimized build
+/// spends up to about 25 KB of native stack per pylite call: 48 calls fit
+/// a 2 MiB thread stack with room for the import chain below them. The
+/// corpus nests at most two calls.
+pub(crate) const MAX_CALL_DEPTH: usize = 48;
+
 /// A pylite interpreter instance.
 ///
 /// Each interpreter is fully isolated: its own `sys.modules`, meter and
@@ -233,6 +243,7 @@ pub struct Interpreter {
     modules: HashMap<String, Rc<ModuleObj>>,
     builtins: Namespace,
     import_depth: usize,
+    call_depth: usize,
     interner: Arc<Interner>,
     syms: CommonSyms,
     native_syms: NativeSyms,
@@ -295,6 +306,7 @@ impl Interpreter {
             modules: HashMap::new(),
             builtins,
             import_depth: 0,
+            call_depth: 0,
             interner,
             syms,
             native_syms,
@@ -498,9 +510,16 @@ impl Interpreter {
             global_decls: HashSet::default(),
             module: Rc::from(dotted),
         };
-        let result = match &body {
-            Body::Tree(resolved) => self.exec_block(&resolved.body, &mut env),
-            Body::Vm(code) => self.vm_exec_block(code, &mut env),
+        // A masked overlay runs its base's code with the masked statements
+        // skipped (DESIGN.md §16).
+        let mask = self.registry.module_mask(dotted).cloned();
+        let result = match (&body, mask) {
+            (Body::Tree(resolved), None) => self.exec_block(&resolved.body, &mut env),
+            (Body::Tree(resolved), Some(mask)) => {
+                self.exec_masked_block(&resolved.body, &mask, &mut env)
+            }
+            (Body::Vm(code), None) => self.vm_exec_block(code, &mut env),
+            (Body::Vm(code), Some(mask)) => self.vm_exec_masked(code, &mask, &mut env),
         };
         self.import_depth -= 1;
         match result {
@@ -710,6 +729,10 @@ impl Interpreter {
                 .collect();
             closure.sort();
             debug_assert_eq!(closure.first().map(|(_, n)| n.as_str()), Some(dotted));
+            // A masked module is a one-off probe candidate: a snapshot
+            // keyed on its mask replays only for an identical mask, which
+            // a DD search rarely probes twice, so cones containing one
+            // skip the capture walk (faster on cold trims and retrims).
             let mut deps = Vec::with_capacity(closure.len());
             let mut mods = Vec::with_capacity(closure.len());
             let mut keyed = true;
@@ -718,7 +741,9 @@ impl Interpreter {
                     self.registry.module_fingerprint(name),
                     self.modules.get(name),
                 ) {
-                    (Some(fp), Some(m)) if !store.is_denied(name) => {
+                    (Some(fp), Some(m))
+                        if !store.is_denied(name) && self.registry.module_mask(name).is_none() =>
+                    {
                         deps.push((name.clone(), fp));
                         mods.push(m.clone());
                     }
@@ -886,15 +911,42 @@ impl Interpreter {
 impl Interpreter {
     fn exec_block(&mut self, body: &[RStmt], env: &mut Env) -> Result<(), PyErr> {
         for stmt in body {
-            match self.exec_stmt(stmt, env)? {
-                Flow::Normal => {}
-                _ => {
-                    return Err(PyErr::new(
-                        ExcKind::RuntimeError,
-                        "return/break/continue outside of function or loop",
-                    ))
+            let flow = self.exec_stmt(stmt, env)?;
+            top_level_flow(flow)?;
+        }
+        Ok(())
+    }
+
+    /// [`Interpreter::exec_block`] over a module body under a keep-mask:
+    /// dropped statements are skipped, item-masked imports bind only their
+    /// kept names, and an empty rewrite runs its lone `pass`. The meter
+    /// sees exactly what running `unparse(mask.apply(..))` would charge.
+    fn exec_masked_block(
+        &mut self,
+        body: &[RStmt],
+        mask: &KeepMask,
+        env: &mut Env,
+    ) -> Result<(), PyErr> {
+        if mask.runs_pass() {
+            return self.charge_stmt();
+        }
+        for (stmt, keep) in body.iter().zip(mask.stmts()) {
+            let flow = match (keep, stmt) {
+                (StmtKeep::Drop, _) => continue,
+                (StmtKeep::Keep, _) => self.exec_stmt(stmt, env)?,
+                (StmtKeep::Items(flags), RStmt::Import { items }) => {
+                    self.charge_stmt()?;
+                    self.exec_import(kept_items(items, flags), env)?;
+                    Flow::Normal
                 }
-            }
+                (StmtKeep::Items(flags), RStmt::FromImport { module, names }) => {
+                    self.charge_stmt()?;
+                    self.exec_from_import(module, kept_items(names, flags), env)?;
+                    Flow::Normal
+                }
+                (StmtKeep::Items(_), _) => unreachable!("registry checks that masks fit"),
+            };
+            top_level_flow(flow)?;
         }
         Ok(())
     }
@@ -909,7 +961,9 @@ impl Interpreter {
         Ok(Flow::Normal)
     }
 
-    fn exec_stmt(&mut self, stmt: &RStmt, env: &mut Env) -> Result<Flow, PyErr> {
+    /// The per-statement prologue: count the step, enforce the step
+    /// limit, tick `stmt_ns`.
+    pub(crate) fn charge_stmt(&mut self) -> Result<(), PyErr> {
         self.meter.steps += 1;
         if self.meter.steps > self.step_limit {
             return Err(PyErr::new(
@@ -918,6 +972,11 @@ impl Interpreter {
             ));
         }
         self.meter.tick(self.cost.stmt_ns);
+        Ok(())
+    }
+
+    fn exec_stmt(&mut self, stmt: &RStmt, env: &mut Env) -> Result<Flow, PyErr> {
+        self.charge_stmt()?;
         match stmt {
             RStmt::Expr(e) => {
                 self.eval(e, env)?;
@@ -934,13 +993,6 @@ impl Interpreter {
                 }
                 Ok(Flow::Normal)
             }
-            RStmt::AugAssign { target, op, value } => {
-                let current = self.eval(target, env)?;
-                let rhs = self.eval(value, env)?;
-                let combined = self.binary_op(*op, current, rhs)?;
-                self.assign_target(target, combined, env)?;
-                Ok(Flow::Normal)
-            }
             RStmt::If { branches, orelse } => {
                 for (test, body) in branches {
                     if self.eval(test, env)?.truthy() {
@@ -949,70 +1001,12 @@ impl Interpreter {
                 }
                 self.exec_suite(orelse, env)
             }
-            RStmt::While { test, body } => {
-                while self.eval(test, env)?.truthy() {
-                    match self.exec_suite(body, env)? {
-                        Flow::Normal | Flow::Continue => {}
-                        Flow::Break => break,
-                        r @ Flow::Return(_) => return Ok(r),
-                    }
-                    self.meter.steps += 1;
-                    if self.meter.steps > self.step_limit {
-                        return Err(PyErr::new(
-                            ExcKind::ResourceExhausted,
-                            "step limit exceeded in while loop",
-                        ));
-                    }
-                }
-                Ok(Flow::Normal)
-            }
+            RStmt::While { test, body } => self.exec_while(test, body, env),
             RStmt::For {
                 targets,
                 iter,
                 body,
-            } => {
-                let iterable = self.eval(iter, env)?;
-                let items = self.iter_values(&iterable)?;
-                for item in items {
-                    if let [target] = targets.as_slice() {
-                        self.bind_name(*target, item, env);
-                    } else {
-                        let parts = self.iter_values(&item)?;
-                        if parts.len() != targets.len() {
-                            return Err(PyErr::new(
-                                ExcKind::ValueError,
-                                format!(
-                                    "cannot unpack {} values into {} loop targets",
-                                    parts.len(),
-                                    targets.len()
-                                ),
-                            ));
-                        }
-                        for (t, v) in targets.iter().zip(parts) {
-                            self.bind_name(*t, v, env);
-                        }
-                    }
-                    match self.exec_suite(body, env)? {
-                        Flow::Normal | Flow::Continue => {}
-                        Flow::Break => break,
-                        r @ Flow::Return(_) => return Ok(r),
-                    }
-                }
-                Ok(Flow::Normal)
-            }
-            RStmt::FuncDef(f) => {
-                let func = self.make_function(f, env)?;
-                self.meter
-                    .alloc(self.cost.func_base_bytes + self.cost.func_stmt_bytes * f.stmt_count);
-                self.bind_name(f.sym, func, env);
-                Ok(Flow::Normal)
-            }
-            RStmt::ClassDef(c) => {
-                let class = self.make_class(c, env)?;
-                self.meter.alloc(self.cost.class_base_bytes);
-                self.bind_name(c.sym, class, env);
-                Ok(Flow::Normal)
-            }
+            } => self.exec_for(targets, iter, body, env),
             RStmt::Return(e) => {
                 let v = match e {
                     Some(e) => self.eval(e, env)?,
@@ -1023,81 +1017,55 @@ impl Interpreter {
             RStmt::Pass => Ok(Flow::Normal),
             RStmt::Break => Ok(Flow::Break),
             RStmt::Continue => Ok(Flow::Continue),
-            RStmt::Import { items } => {
-                self.exec_import(items, env)?;
-                Ok(Flow::Normal)
-            }
-            RStmt::FromImport { module, names } => {
-                self.exec_from_import(module, names, env)?;
-                Ok(Flow::Normal)
-            }
-            RStmt::Raise(e) => {
-                let err = match e {
-                    None => PyErr::new(ExcKind::RuntimeError, "re-raise outside except"),
-                    Some(expr) => {
-                        let v = self.eval(expr, env)?;
-                        self.value_to_exception(v)?
-                    }
-                };
-                Err(err)
-            }
             RStmt::Try {
                 body,
                 handlers,
                 orelse,
                 finalbody,
-            } => {
-                let outcome = self.exec_suite(body, env);
-                let result = match outcome {
-                    Ok(flow) => {
-                        if matches!(flow, Flow::Normal) && !orelse.is_empty() {
-                            self.exec_suite(orelse, env)
-                        } else {
-                            Ok(flow)
-                        }
-                    }
-                    Err(err) => {
-                        // ResourceExhausted is not catchable: it models the
-                        // platform killing the function.
-                        if matches!(err.kind, ExcKind::ResourceExhausted) {
-                            Err(err)
-                        } else {
-                            let mut handled = None;
-                            for h in handlers {
-                                let matches = match &h.exc_type {
-                                    None => true,
-                                    Some(class) => err.matches_handler(class),
-                                };
-                                if matches {
-                                    if let Some(name) = h.name {
-                                        self.bind_name(
-                                            name,
-                                            Value::ExcValue(Rc::new(err.clone())),
-                                            env,
-                                        );
-                                    }
-                                    handled = Some(self.exec_suite(&h.body, env));
-                                    break;
-                                }
-                            }
-                            handled.unwrap_or(Err(err))
-                        }
-                    }
-                };
-                if !finalbody.is_empty() {
-                    // `finally` runs regardless; its own error wins.
-                    match self.exec_suite(finalbody, env)? {
-                        Flow::Normal => {}
-                        flow => return Ok(flow),
-                    }
-                }
-                result
+            } => self.exec_try(body, handlers, orelse, finalbody, env),
+            other => {
+                self.exec_simple(other, env)?;
+                Ok(Flow::Normal)
             }
+        }
+    }
+
+    /// The statements that always complete normally or raise.
+    fn exec_simple(&mut self, stmt: &RStmt, env: &mut Env) -> Result<(), PyErr> {
+        match stmt {
+            RStmt::AugAssign { target, op, value } => {
+                let current = self.eval(target, env)?;
+                let rhs = self.eval(value, env)?;
+                let combined = self.binary_op(*op, current, rhs)?;
+                self.assign_target(target, combined, env)
+            }
+            RStmt::FuncDef(f) => {
+                let func = self.make_function(f, env)?;
+                self.meter
+                    .alloc(self.cost.func_base_bytes + self.cost.func_stmt_bytes * f.stmt_count);
+                self.bind_name(f.sym, func, env);
+                Ok(())
+            }
+            RStmt::ClassDef(c) => {
+                let class = self.make_class(c, env)?;
+                self.meter.alloc(self.cost.class_base_bytes);
+                self.bind_name(c.sym, class, env);
+                Ok(())
+            }
+            RStmt::Import { items } => self.exec_import(items, env),
+            RStmt::FromImport { module, names } => self.exec_from_import(module, names, env),
+            RStmt::Raise(e) => Err(match e {
+                None => PyErr::new(ExcKind::RuntimeError, "re-raise outside except"),
+                Some(expr) => {
+                    let v = self.eval(expr, env)?;
+                    self.value_to_exception(v)?
+                }
+            }),
             RStmt::Global(names) => {
                 for n in names {
                     env.global_decls.insert(*n);
                 }
-                Ok(Flow::Normal)
+                Ok(())
             }
             RStmt::Assert { test, msg } => {
                 if !self.eval(test, env)?.truthy() {
@@ -1107,21 +1075,128 @@ impl Interpreter {
                     };
                     return Err(PyErr::new(ExcKind::AssertionError, message));
                 }
-                Ok(Flow::Normal)
+                Ok(())
             }
-            RStmt::Del(target) => {
-                self.exec_del(target, env)?;
-                Ok(Flow::Normal)
+            RStmt::Del(target) => self.exec_del(target, env),
+            _ => unreachable!("control-flow statements run in exec_stmt"),
+        }
+    }
+
+    // Loops, `try` and the simple statements run outside `exec_stmt` so
+    // its frame, which every nested statement and pylite call stacks up,
+    // stays small in unoptimized builds.
+    fn exec_while(&mut self, test: &RExpr, body: &[RStmt], env: &mut Env) -> Result<Flow, PyErr> {
+        while self.eval(test, env)?.truthy() {
+            match self.exec_suite(body, env)? {
+                Flow::Normal | Flow::Continue => {}
+                Flow::Break => break,
+                r @ Flow::Return(_) => return Ok(r),
+            }
+            self.meter.steps += 1;
+            if self.meter.steps > self.step_limit {
+                return Err(PyErr::new(
+                    ExcKind::ResourceExhausted,
+                    "step limit exceeded in while loop",
+                ));
             }
         }
+        Ok(Flow::Normal)
+    }
+
+    fn exec_for(
+        &mut self,
+        targets: &[Symbol],
+        iter: &RExpr,
+        body: &[RStmt],
+        env: &mut Env,
+    ) -> Result<Flow, PyErr> {
+        let iterable = self.eval(iter, env)?;
+        let items = self.iter_values(&iterable)?;
+        for item in items {
+            if let [target] = targets {
+                self.bind_name(*target, item, env);
+            } else {
+                let parts = self.iter_values(&item)?;
+                if parts.len() != targets.len() {
+                    return Err(PyErr::new(
+                        ExcKind::ValueError,
+                        format!(
+                            "cannot unpack {} values into {} loop targets",
+                            parts.len(),
+                            targets.len()
+                        ),
+                    ));
+                }
+                for (t, v) in targets.iter().zip(parts) {
+                    self.bind_name(*t, v, env);
+                }
+            }
+            match self.exec_suite(body, env)? {
+                Flow::Normal | Flow::Continue => {}
+                Flow::Break => break,
+                r @ Flow::Return(_) => return Ok(r),
+            }
+        }
+        Ok(Flow::Normal)
+    }
+
+    fn exec_try(
+        &mut self,
+        body: &[RStmt],
+        handlers: &[crate::resolved::RExceptHandler],
+        orelse: &[RStmt],
+        finalbody: &[RStmt],
+        env: &mut Env,
+    ) -> Result<Flow, PyErr> {
+        let outcome = self.exec_suite(body, env);
+        let result = match outcome {
+            Ok(flow) => {
+                if matches!(flow, Flow::Normal) && !orelse.is_empty() {
+                    self.exec_suite(orelse, env)
+                } else {
+                    Ok(flow)
+                }
+            }
+            Err(err) => {
+                // ResourceExhausted is not catchable: it models the
+                // platform killing the function.
+                if matches!(err.kind, ExcKind::ResourceExhausted) {
+                    Err(err)
+                } else {
+                    let mut handled = None;
+                    for h in handlers {
+                        let matches = match &h.exc_type {
+                            None => true,
+                            Some(class) => err.matches_handler(class),
+                        };
+                        if matches {
+                            if let Some(name) = h.name {
+                                self.bind_name(name, Value::ExcValue(Rc::new(err.clone())), env);
+                            }
+                            handled = Some(self.exec_suite(&h.body, env));
+                            break;
+                        }
+                    }
+                    handled.unwrap_or(Err(err))
+                }
+            }
+        };
+        if !finalbody.is_empty() {
+            // `finally` runs regardless; its own error wins.
+            match self.exec_suite(finalbody, env)? {
+                Flow::Normal => {}
+                flow => return Ok(flow),
+            }
+        }
+        result
     }
 
     /// Execute an `import a.b [as c][, ...]` clause list. Shared verbatim
     /// by the tree-walker and the bytecode VM's `Import` instruction, so
     /// binding and allocation behavior cannot diverge between tiers.
-    pub(crate) fn exec_import(
+    pub(crate) fn exec_import<'a>(
         &mut self,
-        items: &[crate::resolved::RImportItem],
+        items: impl IntoIterator<Item = &'a crate::resolved::RImportItem>,
         env: &mut Env,
     ) -> Result<(), PyErr> {
         for item in items {
@@ -1143,10 +1218,10 @@ impl Interpreter {
 
     /// Execute a `from module import ...` statement (shared by both
     /// engines, like [`Interpreter::exec_import`]).
-    pub(crate) fn exec_from_import(
+    pub(crate) fn exec_from_import<'a>(
         &mut self,
         module: &str,
-        names: &[crate::resolved::RFromName],
+        names: impl IntoIterator<Item = &'a crate::resolved::RFromName>,
         env: &mut Env,
     ) -> Result<(), PyErr> {
         let m = self.import_module(module)?;
@@ -1511,33 +1586,9 @@ impl Interpreter {
                 Ok(Value::Str(Arc::clone(s)))
             }
             RExpr::Name(n) => self.lookup_name(*n, env),
-            RExpr::List(items) => {
-                let mut out = Vec::with_capacity(items.len());
-                for i in items {
-                    out.push(self.eval(i, env)?);
-                }
-                self.meter
-                    .alloc(self.cost.element_bytes * items.len() as u64);
-                Ok(Value::list(out))
-            }
-            RExpr::Tuple(items) => {
-                let mut out = Vec::with_capacity(items.len());
-                for i in items {
-                    out.push(self.eval(i, env)?);
-                }
-                self.meter
-                    .alloc(self.cost.element_bytes * items.len() as u64);
-                Ok(Value::tuple(out))
-            }
-            RExpr::Dict(pairs) => {
-                let mut out = Vec::with_capacity(pairs.len());
-                for (k, v) in pairs {
-                    out.push((self.eval(k, env)?, self.eval(v, env)?));
-                }
-                self.meter
-                    .alloc(self.cost.element_bytes * 2 * pairs.len() as u64);
-                Ok(Value::dict(out))
-            }
+            RExpr::List(items) => self.eval_elements(items, env).map(Value::list),
+            RExpr::Tuple(items) => self.eval_elements(items, env).map(Value::tuple),
+            RExpr::Dict(pairs) => self.eval_dict(pairs, env),
             RExpr::Attribute { value, attr, site } => {
                 let obj = self.eval(value, env)?;
                 self.attr_lookup(&obj, *attr, Some(*site))
@@ -1547,18 +1598,7 @@ impl Interpreter {
                 let idx = self.eval(index, env)?;
                 self.get_item(&obj, &idx)
             }
-            RExpr::Call { func, args, kwargs } => {
-                let f = self.eval(func, env)?;
-                let mut argv = Vec::with_capacity(args.len());
-                for a in args {
-                    argv.push(self.eval(a, env)?);
-                }
-                let mut kwv = Vec::with_capacity(kwargs.len());
-                for (k, v) in kwargs {
-                    kwv.push((*k, self.eval(v, env)?));
-                }
-                self.call_value(f, argv, kwv)
-            }
+            RExpr::Call { func, args, kwargs } => self.eval_call(func, args, kwargs, env),
             RExpr::Unary { op, operand } => {
                 let v = self.eval(operand, env)?;
                 unary_op(*op, v)
@@ -1568,39 +1608,8 @@ impl Interpreter {
                 let r = self.eval(right, env)?;
                 self.binary_op(*op, l, r)
             }
-            RExpr::Bool { op, values } => match op {
-                BoolOp::And => {
-                    let mut last = Value::Bool(true);
-                    for v in values {
-                        last = self.eval(v, env)?;
-                        if !last.truthy() {
-                            return Ok(last);
-                        }
-                    }
-                    Ok(last)
-                }
-                BoolOp::Or => {
-                    let mut last = Value::Bool(false);
-                    for v in values {
-                        last = self.eval(v, env)?;
-                        if last.truthy() {
-                            return Ok(last);
-                        }
-                    }
-                    Ok(last)
-                }
-            },
-            RExpr::Compare { left, ops } => {
-                let mut lhs = self.eval(left, env)?;
-                for (op, rhs_expr) in ops {
-                    let rhs = self.eval(rhs_expr, env)?;
-                    if !self.compare(*op, &lhs, &rhs)? {
-                        return Ok(Value::Bool(false));
-                    }
-                    lhs = rhs;
-                }
-                Ok(Value::Bool(true))
-            }
+            RExpr::Bool { op, values } => self.eval_bool(*op, values, env),
+            RExpr::Compare { left, ops } => self.eval_compare(left, ops, env),
             RExpr::Conditional { test, body, orelse } => {
                 if self.eval(test, env)?.truthy() {
                     self.eval(body, env)
@@ -1613,55 +1622,159 @@ impl Interpreter {
                 targets,
                 iter,
                 cond,
-            } => {
-                let iterable = self.eval(iter, env)?;
-                let items = self.iter_values(&iterable)?;
-                let mut out = Vec::with_capacity(items.len());
-                for item in items {
-                    self.meter.steps += 1;
-                    if self.meter.steps > self.step_limit {
-                        return Err(PyErr::new(
-                            ExcKind::ResourceExhausted,
-                            "step limit exceeded in comprehension",
-                        ));
-                    }
-                    if let [target] = targets.as_slice() {
-                        self.bind_name(*target, item, env);
-                    } else {
-                        let parts = self.iter_values(&item)?;
-                        if parts.len() != targets.len() {
-                            return Err(PyErr::new(
-                                ExcKind::ValueError,
-                                "comprehension target unpack mismatch",
-                            ));
-                        }
-                        for (t, v) in targets.iter().zip(parts) {
-                            self.bind_name(*t, v, env);
-                        }
-                    }
-                    if let Some(c) = cond {
-                        if !self.eval(c, env)?.truthy() {
-                            continue;
-                        }
-                    }
-                    out.push(self.eval(element, env)?);
-                }
-                self.meter.alloc(self.cost.element_bytes * out.len() as u64);
-                Ok(Value::list(out))
-            }
+            } => self.eval_list_comp(element, targets, iter, cond.as_deref(), env),
             RExpr::Slice { value, start, stop } => {
-                let v = self.eval(value, env)?;
-                let start = match start {
-                    Some(e) => Some(self.eval(e, env)?),
-                    None => None,
-                };
-                let stop = match stop {
-                    Some(e) => Some(self.eval(e, env)?),
-                    None => None,
-                };
-                self.slice_value(&v, start.as_ref(), stop.as_ref())
+                self.eval_slice(value, start.as_deref(), stop.as_deref(), env)
             }
         }
+    }
+
+    // The cold and composite expression forms run outside `eval` so its
+    // frame, which nested expressions and pylite calls stack up, stays
+    // small in unoptimized builds.
+    /// A list or tuple display's elements, with their element charge.
+    fn eval_elements(&mut self, items: &[RExpr], env: &mut Env) -> Result<Vec<Value>, PyErr> {
+        let mut out = Vec::with_capacity(items.len());
+        for i in items {
+            out.push(self.eval(i, env)?);
+        }
+        self.meter
+            .alloc(self.cost.element_bytes * items.len() as u64);
+        Ok(out)
+    }
+
+    fn eval_dict(&mut self, pairs: &[(RExpr, RExpr)], env: &mut Env) -> Result<Value, PyErr> {
+        let mut out = Vec::with_capacity(pairs.len());
+        for (k, v) in pairs {
+            out.push((self.eval(k, env)?, self.eval(v, env)?));
+        }
+        self.meter
+            .alloc(self.cost.element_bytes * 2 * pairs.len() as u64);
+        Ok(Value::dict(out))
+    }
+
+    fn eval_call(
+        &mut self,
+        func: &RExpr,
+        args: &[RExpr],
+        kwargs: &[(Symbol, RExpr)],
+        env: &mut Env,
+    ) -> Result<Value, PyErr> {
+        let f = self.eval(func, env)?;
+        let mut argv = Vec::with_capacity(args.len());
+        for a in args {
+            argv.push(self.eval(a, env)?);
+        }
+        let mut kwv = Vec::with_capacity(kwargs.len());
+        for (k, v) in kwargs {
+            kwv.push((*k, self.eval(v, env)?));
+        }
+        self.call_value(f, argv, kwv)
+    }
+
+    fn eval_bool(&mut self, op: BoolOp, values: &[RExpr], env: &mut Env) -> Result<Value, PyErr> {
+        match op {
+            BoolOp::And => {
+                let mut last = Value::Bool(true);
+                for v in values {
+                    last = self.eval(v, env)?;
+                    if !last.truthy() {
+                        return Ok(last);
+                    }
+                }
+                Ok(last)
+            }
+            BoolOp::Or => {
+                let mut last = Value::Bool(false);
+                for v in values {
+                    last = self.eval(v, env)?;
+                    if last.truthy() {
+                        return Ok(last);
+                    }
+                }
+                Ok(last)
+            }
+        }
+    }
+
+    fn eval_compare(
+        &mut self,
+        left: &RExpr,
+        ops: &[(CmpOp, RExpr)],
+        env: &mut Env,
+    ) -> Result<Value, PyErr> {
+        let mut lhs = self.eval(left, env)?;
+        for (op, rhs_expr) in ops {
+            let rhs = self.eval(rhs_expr, env)?;
+            if !self.compare(*op, &lhs, &rhs)? {
+                return Ok(Value::Bool(false));
+            }
+            lhs = rhs;
+        }
+        Ok(Value::Bool(true))
+    }
+
+    fn eval_list_comp(
+        &mut self,
+        element: &RExpr,
+        targets: &[Symbol],
+        iter: &RExpr,
+        cond: Option<&RExpr>,
+        env: &mut Env,
+    ) -> Result<Value, PyErr> {
+        let iterable = self.eval(iter, env)?;
+        let items = self.iter_values(&iterable)?;
+        let mut out = Vec::with_capacity(items.len());
+        for item in items {
+            self.meter.steps += 1;
+            if self.meter.steps > self.step_limit {
+                return Err(PyErr::new(
+                    ExcKind::ResourceExhausted,
+                    "step limit exceeded in comprehension",
+                ));
+            }
+            if let [target] = targets {
+                self.bind_name(*target, item, env);
+            } else {
+                let parts = self.iter_values(&item)?;
+                if parts.len() != targets.len() {
+                    return Err(PyErr::new(
+                        ExcKind::ValueError,
+                        "comprehension target unpack mismatch",
+                    ));
+                }
+                for (t, v) in targets.iter().zip(parts) {
+                    self.bind_name(*t, v, env);
+                }
+            }
+            if let Some(c) = cond {
+                if !self.eval(c, env)?.truthy() {
+                    continue;
+                }
+            }
+            out.push(self.eval(element, env)?);
+        }
+        self.meter.alloc(self.cost.element_bytes * out.len() as u64);
+        Ok(Value::list(out))
+    }
+
+    fn eval_slice(
+        &mut self,
+        value: &RExpr,
+        start: Option<&RExpr>,
+        stop: Option<&RExpr>,
+        env: &mut Env,
+    ) -> Result<Value, PyErr> {
+        let v = self.eval(value, env)?;
+        let start = match start {
+            Some(e) => Some(self.eval(e, env)?),
+            None => None,
+        };
+        let stop = match stop {
+            Some(e) => Some(self.eval(e, env)?),
+            None => None,
+        };
+        self.slice_value(&v, start.as_ref(), stop.as_ref())
     }
 }
 
@@ -2149,6 +2262,24 @@ impl Interpreter {
     }
 
     fn call_pyfunc(
+        &mut self,
+        func: &Rc<PyFunc>,
+        args: Vec<Value>,
+        kwargs: Vec<(Symbol, Value)>,
+    ) -> Result<Value, PyErr> {
+        if self.call_depth >= MAX_CALL_DEPTH {
+            return Err(PyErr::new(
+                ExcKind::RecursionError,
+                "maximum recursion depth exceeded",
+            ));
+        }
+        self.call_depth += 1;
+        let result = self.call_pyfunc_body(func, args, kwargs);
+        self.call_depth -= 1;
+        result
+    }
+
+    fn call_pyfunc_body(
         &mut self,
         func: &Rc<PyFunc>,
         args: Vec<Value>,
@@ -2792,6 +2923,17 @@ impl Interpreter {
 }
 
 /// Python `is` — identity for reference types, value identity for scalars.
+/// A module body's statements must complete normally.
+pub(crate) fn top_level_flow(flow: Flow) -> Result<(), PyErr> {
+    match flow {
+        Flow::Normal => Ok(()),
+        _ => Err(PyErr::new(
+            ExcKind::RuntimeError,
+            "return/break/continue outside of function or loop",
+        )),
+    }
+}
+
 fn py_is(a: &Value, b: &Value) -> bool {
     match (a, b) {
         (Value::None, Value::None) => true,
@@ -3265,6 +3407,52 @@ print(f())
         assert!(it.stdout.is_empty());
     }
 
+    /// Run `import m` for a module whose init recurses without bound, on
+    /// a 2 MiB thread like a test harness worker.
+    fn runaway_recursion(engine: Engine) -> (PyErr, u64, u64, u64) {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                let mut r = Registry::new();
+                r.set_module("m", "def f(n):\n    return f(n + 1)\nx = f(0)\n");
+                let mut it = Interpreter::new(r);
+                it.engine = engine;
+                let err = it.exec_main("import m\n").unwrap_err();
+                (
+                    err,
+                    it.meter.clock_ns(),
+                    it.meter.mem_bytes(),
+                    it.meter.steps,
+                )
+            })
+            .unwrap()
+            .join()
+            .expect("recursion must not overflow the native stack")
+    }
+
+    #[test]
+    fn runaway_recursion_is_a_recursion_error_on_both_engines() {
+        let tree = runaway_recursion(Engine::Tree);
+        let vm = runaway_recursion(Engine::Vm);
+        assert!(matches!(tree.0.kind, ExcKind::RecursionError), "{}", tree.0);
+        assert_eq!(tree, vm, "same trip point and meter state");
+        // `import m`, `def f`, `x = f(0)`, then one `return` per frame.
+        assert_eq!(tree.3, 3 + MAX_CALL_DEPTH as u64);
+    }
+
+    #[test]
+    fn recursion_error_is_catchable_and_unwinds_the_depth() {
+        for engine in [Engine::Tree, Engine::Vm] {
+            let mut it = Interpreter::new(Registry::new());
+            it.engine = engine;
+            it.exec_main(
+                "def f(n):\n    return f(n + 1)\ntry:\n    f(0)\nexcept RecursionError:\n    print(\"caught\")\ndef g(n):\n    if n == 0:\n        return 0\n    return g(n - 1)\nprint(g(40))\n",
+            )
+            .unwrap();
+            assert_eq!(it.stdout, vec!["caught", "0"], "{engine:?}");
+        }
+    }
+
     #[test]
     fn global_statement_writes_module_scope() {
         let it = run(r#"
@@ -3495,6 +3683,30 @@ print(isinstance(B(), A))
         assert_eq!(store.stats().hits, 0);
         let second = run_snap(&r, src, true);
         assert!(store.stats().hits >= 1, "second run replays");
+        assert_same_observables(&first, &live);
+        assert_same_observables(&second, &live);
+    }
+
+    #[test]
+    fn masked_cones_run_live_while_their_deps_replay() {
+        let r = replay_registry();
+        let src = "import lib\nprint(lib.go(41))\n";
+        let live = run_snap(&r, src, false);
+        run_snap(&r, src, true);
+        let masked = r.with_mask(
+            "lib",
+            Arc::new(KeepMask::new(vec![StmtKeep::Keep; 5], true)),
+        );
+        let store = r.snapshot_store();
+        let before = store.stats();
+        let first = run_snap(&masked, src, true);
+        let second = run_snap(&masked, src, true);
+        let after = store.stats();
+        assert_eq!(
+            after.captures, before.captures,
+            "no capture of a masked cone"
+        );
+        assert_eq!(after.hits, before.hits + 2, "util replays in both runs");
         assert_same_observables(&first, &live);
         assert_same_observables(&second, &live);
     }

@@ -12,7 +12,8 @@
 //!   `AttributeError` that λ-trim's fallback relies on), classes, and a
 //!   useful set of builtins;
 //! * a [`registry::Registry`] virtual site-packages that the debloater
-//!   rewrites in place;
+//!   rewrites in place, and [`mask`] keep-masks that let a probe run part
+//!   of a module's top-level statements over its shared compiled code;
 //! * a deterministic [`cost`] model — a virtual clock and simulated memory
 //!   accountant — plus the `__lt_work__` / `__lt_alloc__` / `__lt_extcall__`
 //!   intrinsics that the synthetic library corpus uses to model native work.
@@ -41,6 +42,7 @@ pub mod cost;
 pub mod intern;
 pub mod interp;
 pub mod lexer;
+pub mod mask;
 pub mod parser;
 pub mod registry;
 pub mod resolved;
@@ -52,6 +54,7 @@ pub use bytecode::{compile_program, CodeObj};
 pub use cost::{CostModel, Meter};
 pub use intern::{Interner, Symbol, SymbolHashBuilder};
 pub use interp::{Engine, ImportEvent, Interpreter};
+pub use mask::{KeepMask, StmtKeep};
 pub use parser::{parse, parse_expr, ParseError};
 pub use registry::Registry;
 pub use resolved::{resolve_program, RProgram};

@@ -12,15 +12,22 @@
 //! shared state is `Arc`/`OnceLock` — `Registry` is `Send + Sync` and can
 //! cross thread boundaries for parallel probing.
 //!
+//! A probe registry is a **masked overlay** ([`Registry::with_mask`]): the
+//! probed module keeps its base's parsed, resolved and compiled code and
+//! carries a [`KeepMask`] saying which top-level statements run. Its
+//! source text exists only on demand (the unparsed masked AST).
+//!
 //! Each registry also maintains a **content fingerprint**: a stable,
 //! order-independent hash of its `(name, source)` pairs, updated
 //! incrementally on [`set_module`](Registry::set_module) /
-//! [`remove_module`](Registry::remove_module). Probe caches key oracle
+//! [`remove_module`](Registry::remove_module). A masked entry hashes its
+//! base entry with the mask instead of its text. Probe caches key oracle
 //! verdicts on it to share results across runs.
 
-use crate::ast::Program;
+use crate::ast::{unparse, Program};
 use crate::bytecode::CodeObj;
 use crate::intern::Interner;
+use crate::mask::KeepMask;
 use crate::parser::{parse, ParseError};
 use crate::resolved::{resolve_program, RProgram};
 use crate::snapshot::SnapshotStore;
@@ -47,19 +54,43 @@ impl fmt::Debug for SummarySlot {
     }
 }
 
-/// One registry entry: shared source text plus shared, lazily filled parse
-/// and resolve slots. Cloning an entry is four reference-count bumps.
+/// One module's source text and its lazily filled parse, resolve and
+/// compile slots, shared by every clone and masked overlay of the entry.
+#[derive(Debug)]
+struct ModuleCode {
+    source: Arc<str>,
+    parsed: OnceLock<Result<Arc<Program>, ParseError>>,
+    resolved: OnceLock<Result<Arc<RProgram>, ParseError>>,
+    bytecode: OnceLock<Result<Arc<CodeObj>, ParseError>>,
+}
+
+impl ModuleCode {
+    fn program(&self) -> Result<Arc<Program>, ParseError> {
+        self.parsed
+            .get_or_init(|| parse(&self.source).map(Arc::new))
+            .clone()
+    }
+}
+
+/// A masked overlay's view of its base [`ModuleCode`]: the mask, plus the
+/// masked source text and its parse, both materialized on first read.
+#[derive(Debug)]
+struct Masked {
+    mask: Arc<KeepMask>,
+    source: OnceLock<Arc<str>>,
+    parsed: OnceLock<Result<Arc<Program>, ParseError>>,
+}
+
+/// One registry entry. Cloning an entry is a few reference-count bumps.
 #[derive(Debug, Clone)]
 struct ModuleEntry {
-    source: Arc<str>,
-    /// `entry_hash(name, source)`, computed once at insertion so
-    /// per-module fingerprint lookups (hot on the snapshot-replay path,
-    /// which re-validates a whole import cone per candidate) are O(1)
-    /// instead of re-hashing the source.
+    code: Arc<ModuleCode>,
+    masked: Option<Arc<Masked>>,
+    /// The entry's fingerprint, computed once at insertion so per-module
+    /// fingerprint lookups (hot on the snapshot-replay path, which
+    /// re-validates a whole import cone per candidate) are O(1) instead
+    /// of re-hashing the source.
     hash: u64,
-    parsed: Arc<OnceLock<Result<Arc<Program>, ParseError>>>,
-    resolved: Arc<OnceLock<Result<Arc<RProgram>, ParseError>>>,
-    bytecode: Arc<OnceLock<Result<Arc<CodeObj>, ParseError>>>,
     summary: SummarySlot,
 }
 
@@ -68,38 +99,90 @@ impl ModuleEntry {
         let source: Arc<str> = source.into();
         ModuleEntry {
             hash: entry_hash(name, &source),
-            source,
-            parsed: Arc::new(OnceLock::new()),
-            resolved: Arc::new(OnceLock::new()),
-            bytecode: Arc::new(OnceLock::new()),
+            code: Arc::new(ModuleCode {
+                source,
+                parsed: OnceLock::new(),
+                resolved: OnceLock::new(),
+                bytecode: OnceLock::new(),
+            }),
+            masked: None,
             summary: SummarySlot::default(),
+        }
+    }
+
+    /// The source text: the base text, or the unparsed masked AST.
+    fn source(&self) -> &str {
+        match &self.masked {
+            None => &self.code.source,
+            Some(m) => m.source.get_or_init(|| {
+                let base = self.code.program().expect("a masked base parses");
+                unparse(&m.mask.apply(&base)).into()
+            }),
+        }
+    }
+
+    /// The parse of [`ModuleEntry::source`].
+    fn program(&self) -> Result<Arc<Program>, ParseError> {
+        match &self.masked {
+            None => self.code.program(),
+            Some(m) => m
+                .parsed
+                .get_or_init(|| parse(self.source()).map(Arc::new))
+                .clone(),
         }
     }
 }
 
-/// Stable FNV-1a hash of one `(name, source)` pair with a final avalanche,
-/// so the order-independent combination below still mixes well.
-fn entry_hash(name: &str, source: &str) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a over bytes with a splitmix64 finalizer, so order-independent
+/// sums of digests still mix well.
+pub(crate) struct Fnv(u64);
+
+impl Fnv {
     const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for &b in name.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(PRIME);
+
+    pub(crate) fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
     }
+
+    pub(crate) fn byte(&mut self, b: u8) {
+        self.0 ^= u64::from(b);
+        self.0 = self.0.wrapping_mul(Self::PRIME);
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.byte(b);
+        }
+    }
+
+    pub(crate) fn finish(self) -> u64 {
+        let mut h = self.0;
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        h ^ (h >> 33)
+    }
+}
+
+/// Stable hash of one `(name, source)` pair.
+fn entry_hash(name: &str, source: &str) -> u64 {
+    let mut h = Fnv::new();
+    h.bytes(name.as_bytes());
     // Separator so ("ab", "c") and ("a", "bc") hash differently.
-    h ^= 0xff;
-    h = h.wrapping_mul(PRIME);
-    for &b in source.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(PRIME);
-    }
-    // splitmix64 finalizer.
-    h ^= h >> 33;
-    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
-    h ^= h >> 33;
-    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
-    h ^ (h >> 33)
+    h.byte(0xff);
+    h.bytes(source.as_bytes());
+    h.finish()
+}
+
+/// Stable hash of a masked entry: its base entry's hash and the mask's
+/// digest, behind a tag that keeps it apart from `(name, source)` hashes.
+fn masked_hash(base: u64, mask: &KeepMask) -> u64 {
+    let mut h = Fnv::new();
+    h.bytes(b"mask");
+    h.bytes(&base.to_le_bytes());
+    h.bytes(&mask.digest().to_le_bytes());
+    h.finish()
 }
 
 /// A virtual filesystem of pylite modules, keyed by dotted name.
@@ -127,8 +210,8 @@ pub struct Registry {
     main_code: Arc<Mutex<MainCodeCache>>,
     /// Init-snapshot cache shared by every clone/overlay of this registry
     /// family (see [`crate::snapshot`]). Entries are keyed by content
-    /// fingerprints, so overlays with rewritten modules replay only the
-    /// unchanged parts of their import cones. Derived data: deliberately
+    /// fingerprints, so overlays with rewritten or masked modules replay
+    /// only the unchanged parts of their import cones. Derived data: deliberately
     /// absent from the fingerprint and `PartialEq`.
     snapshots: Arc<SnapshotStore>,
 }
@@ -143,10 +226,12 @@ impl PartialEq for Registry {
     fn eq(&self, other: &Self) -> bool {
         self.fingerprint == other.fingerprint
             && self.modules.len() == other.modules.len()
-            && self
-                .modules
-                .iter()
-                .all(|(k, e)| other.modules.get(k).is_some_and(|o| o.source == e.source))
+            && self.modules.iter().all(|(k, e)| {
+                other
+                    .modules
+                    .get(k)
+                    .is_some_and(|o| o.source() == e.source())
+            })
     }
 }
 
@@ -186,12 +271,14 @@ impl Registry {
     pub fn remove_module(&mut self, name: &str) -> Option<String> {
         let entry = self.modules.remove(name)?;
         self.fingerprint = self.fingerprint.wrapping_sub(entry.hash);
-        Some(entry.source.to_string())
+        Some(entry.source().to_string())
     }
 
-    /// A copy-on-write overlay: this registry with exactly one module
-    /// replaced. The base and the overlay share every other entry's source
-    /// and parse result — the debloater builds one of these per DD probe.
+    /// A copy-on-write overlay: this registry with exactly one module's
+    /// source replaced. The base and the overlay share every other entry's
+    /// source and parse result; the replaced module is lexed, parsed,
+    /// resolved and compiled anew when first run. Probes over one module's
+    /// statements use the cheaper [`with_mask`](Registry::with_mask).
     #[must_use]
     pub fn with_module(&self, name: impl Into<String>, source: impl Into<String>) -> Registry {
         let mut overlay = self.clone();
@@ -199,9 +286,61 @@ impl Registry {
         overlay
     }
 
+    /// A copy-on-write overlay in which module `name` runs only what
+    /// `mask` keeps of its top-level statements (see [`crate::mask`]).
+    ///
+    /// The overlay shares the module's parse, resolve and bytecode slots
+    /// with this registry, so building and running it compiles nothing.
+    /// Its [`module_fingerprint`](Registry::module_fingerprint) mixes the
+    /// base entry's hash with the mask. [`source`](Registry::source) and
+    /// [`parse_module`](Registry::parse_module) read the masked module,
+    /// `unparse(mask.apply(base))`, built on first read. If `name` is
+    /// itself masked, the new mask applies to that masked module.
+    ///
+    /// # Panics
+    ///
+    /// If `name` is not a module of this registry, does not parse, or
+    /// `mask` does not [fit](KeepMask::fits) its statements.
+    #[must_use]
+    pub fn with_mask(&self, name: &str, mask: Arc<KeepMask>) -> Registry {
+        let current = self
+            .modules
+            .get(name)
+            .unwrap_or_else(|| panic!("no module named `{name}` to mask"));
+        let base = match current.masked {
+            None => current.clone(),
+            Some(_) => ModuleEntry::new(name, current.source()),
+        };
+        let program = base.code.program().expect("a masked module parses");
+        assert!(mask.fits(&program), "keep-mask does not fit `{name}`");
+        let entry = ModuleEntry {
+            hash: masked_hash(base.hash, &mask),
+            code: base.code,
+            masked: Some(Arc::new(Masked {
+                mask,
+                source: OnceLock::new(),
+                parsed: OnceLock::new(),
+            })),
+            summary: SummarySlot::default(),
+        };
+        let mut overlay = self.clone();
+        overlay.fingerprint = self
+            .fingerprint
+            .wrapping_sub(current.hash)
+            .wrapping_add(entry.hash);
+        overlay.modules.insert(name.to_owned(), entry);
+        overlay
+    }
+
+    /// The keep-mask module `name` executes under, if it is a masked
+    /// overlay entry.
+    pub(crate) fn module_mask(&self, name: &str) -> Option<&Arc<KeepMask>> {
+        self.modules.get(name)?.masked.as_ref().map(|m| &m.mask)
+    }
+
     /// The source of a module, if present.
     pub fn source(&self, name: &str) -> Option<&str> {
-        self.modules.get(name).map(|e| &*e.source)
+        self.modules.get(name).map(ModuleEntry::source)
     }
 
     /// Whether a module exists.
@@ -229,7 +368,7 @@ impl Registry {
     /// Total bytes of source text across all modules (used as a proxy for
     /// deployment-image code size).
     pub fn total_source_bytes(&self) -> u64 {
-        self.modules.values().map(|e| e.source.len() as u64).sum()
+        self.modules.values().map(|e| e.source().len() as u64).sum()
     }
 
     /// Parse a module, caching the result in a slot shared by every clone
@@ -240,14 +379,14 @@ impl Registry {
     ///
     /// Returns the underlying [`ParseError`] if the module does not parse.
     pub fn parse_module(&self, name: &str) -> Result<Arc<Program>, ParseError> {
-        let entry = self.modules.get(name).ok_or_else(|| ParseError {
+        self.entry(name)?.program()
+    }
+
+    fn entry(&self, name: &str) -> Result<&ModuleEntry, ParseError> {
+        self.modules.get(name).ok_or_else(|| ParseError {
             message: format!("no module named `{name}` in registry"),
             line: 0,
-        })?;
-        entry
-            .parsed
-            .get_or_init(|| parse(&entry.source).map(Arc::new))
-            .clone()
+        })
     }
 
     /// Parse *and* symbol-resolve a module (see [`crate::resolved`]),
@@ -255,21 +394,17 @@ impl Registry {
     /// registry — the resolve pass runs once per module family, not once
     /// per probe interpreter.
     ///
+    /// For a masked overlay this is the base module's shared tree: the
+    /// interpreter runs it under the overlay's keep-mask.
+    ///
     /// # Errors
     ///
     /// Returns the underlying [`ParseError`] if the module does not parse.
     pub fn resolve_module(&self, name: &str) -> Result<Arc<RProgram>, ParseError> {
-        let entry = self.modules.get(name).ok_or_else(|| ParseError {
-            message: format!("no module named `{name}` in registry"),
-            line: 0,
-        })?;
-        entry
-            .resolved
+        let code = &self.entry(name)?.code;
+        code.resolved
             .get_or_init(|| {
-                let program = entry
-                    .parsed
-                    .get_or_init(|| parse(&entry.source).map(Arc::new))
-                    .clone()?;
+                let program = code.program()?;
                 Ok(Arc::new(resolve_program(&program, &self.interner)))
             })
             .clone()
@@ -280,7 +415,8 @@ impl Registry {
     /// every clone of this registry — like [`resolve_module`], the compile
     /// pass runs once per module family, not once per probe interpreter.
     /// The slot is derived data keyed by content and deliberately absent
-    /// from the fingerprint and `PartialEq`.
+    /// from the fingerprint and `PartialEq`. Like [`resolve_module`], a
+    /// masked overlay returns its base module's shared code.
     ///
     /// # Errors
     ///
@@ -288,11 +424,8 @@ impl Registry {
     ///
     /// [`resolve_module`]: Registry::resolve_module
     pub fn compile_module(&self, name: &str) -> Result<Arc<CodeObj>, ParseError> {
-        let entry = self.modules.get(name).ok_or_else(|| ParseError {
-            message: format!("no module named `{name}` in registry"),
-            line: 0,
-        })?;
-        entry
+        self.entry(name)?
+            .code
             .bytecode
             .get_or_init(|| {
                 let resolved = self.resolve_module(name)?;
@@ -330,7 +463,8 @@ impl Registry {
     }
 
     /// The content fingerprint of a single module: the same `(name, source)`
-    /// hash that [`fingerprint`](Registry::fingerprint) sums. Incremental
+    /// hash that [`fingerprint`](Registry::fingerprint) sums (for a masked
+    /// overlay, its base hash mixed with the mask). Incremental
     /// consumers (the analysis summary cache) use it to decide which modules
     /// changed between two registry states without diffing sources.
     pub fn module_fingerprint(&self, name: &str) -> Option<u64> {
@@ -387,6 +521,7 @@ impl Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mask::StmtKeep;
 
     #[test]
     fn set_and_get_modules() {
@@ -605,6 +740,103 @@ mod tests {
         let _: Arc<String> = r.module_summary("m", || String::from("s")).unwrap();
         let n: Arc<u64> = r.module_summary("m", || 7u64).unwrap();
         assert_eq!(*n, 7);
+    }
+
+    fn masked_base() -> Registry {
+        let mut r = Registry::new();
+        r.set_module("m", "import a, b as c\nx = 1\ndef f():\n    return x\n");
+        r.set_module("n", "y = 2\n");
+        r
+    }
+
+    fn mask(stmts: Vec<StmtKeep>) -> Arc<KeepMask> {
+        Arc::new(KeepMask::new(stmts, true))
+    }
+
+    #[test]
+    fn masked_fingerprint_is_stable_and_distinct() {
+        use crate::mask::StmtKeep::{Drop, Items, Keep};
+        let r = masked_base();
+        let one = || mask(vec![Items(Box::new([true, false])), Drop, Keep]);
+        let a = r.with_mask("m", one());
+        let b = r.with_mask("m", one());
+        let fp = |reg: &Registry| reg.module_fingerprint("m").unwrap();
+        assert_eq!(fp(&a), fp(&b), "equal masks, equal fingerprints");
+        assert_eq!(a.fingerprint(), b.fingerprint());
+        assert_ne!(fp(&a), fp(&r), "a mask is not its base");
+        let identity = r.with_mask("m", mask(vec![Keep, Keep, Keep]));
+        assert_ne!(fp(&identity), fp(&r), "even a keep-all mask");
+        let others = [
+            mask(vec![Items(Box::new([false, true])), Drop, Keep]),
+            mask(vec![Drop, Drop, Keep]),
+            mask(vec![Drop, Drop, Drop]),
+            Arc::new(KeepMask::statements(3, &[])),
+        ];
+        for other in others {
+            assert_ne!(fp(&r.with_mask("m", other)), fp(&a));
+        }
+        // The registry fingerprint stays the sum of the entry hashes.
+        assert_eq!(
+            a.fingerprint(),
+            r.fingerprint().wrapping_sub(fp(&r)).wrapping_add(fp(&a))
+        );
+        assert_eq!(a.module_fingerprint("n"), r.module_fingerprint("n"));
+    }
+
+    #[test]
+    fn masked_overlay_shares_the_base_code() {
+        let r = masked_base();
+        let base_resolved = r.resolve_module("m").unwrap();
+        let base_code = r.compile_module("m").unwrap();
+        let overlay = r.with_mask("m", mask(vec![StmtKeep::Drop; 3]));
+        assert!(Arc::ptr_eq(
+            &overlay.resolve_module("m").unwrap(),
+            &base_resolved
+        ));
+        assert!(Arc::ptr_eq(
+            &overlay.compile_module("m").unwrap(),
+            &base_code
+        ));
+        assert!(r.module_mask("m").is_none());
+        assert_eq!(overlay.module_mask("m").unwrap().stmts().len(), 3);
+    }
+
+    #[test]
+    fn masked_entries_read_as_the_masked_source() {
+        use crate::mask::StmtKeep::{Drop, Items, Keep};
+        let r = masked_base();
+        let m = mask(vec![Items(Box::new([false, true])), Drop, Keep]);
+        let expected = crate::unparse(&m.apply(&r.parse_module("m").unwrap()));
+        assert_eq!(expected, "import b as c\ndef f():\n    return x\n");
+        let overlay = r.with_mask("m", m);
+        assert_eq!(overlay.source("m"), Some(expected.as_str()));
+        assert_eq!(
+            crate::unparse(&overlay.parse_module("m").unwrap()),
+            expected,
+            "parse_module reads the masked source, not the base"
+        );
+        assert_eq!(r.source("m").unwrap().lines().count(), 4, "base untouched");
+        assert_eq!(
+            overlay.total_source_bytes(),
+            (expected.len() + "y = 2\n".len()) as u64
+        );
+        // Equality compares sources: a source overlay with the same text
+        // equals the masked one.
+        assert_eq!(
+            overlay.source("m"),
+            r.with_module("m", expected.clone()).source("m")
+        );
+        // A mask over a masked entry applies to the masked module.
+        let twice = overlay.with_mask("m", mask(vec![Keep, Drop]));
+        assert_eq!(twice.source("m"), Some("import b as c\n"));
+        let empty = r.with_mask("m", mask(vec![Drop, Drop, Drop]));
+        assert_eq!(empty.source("m"), Some("pass\n"));
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit")]
+    fn misfit_masks_are_rejected() {
+        let _ = masked_base().with_mask("n", mask(vec![StmtKeep::Keep; 3]));
     }
 
     #[test]

@@ -609,6 +609,9 @@ pub enum ExcKind {
     AssertionError,
     /// Interpreter resource limit (step budget) exceeded.
     ResourceExhausted,
+    /// Function calls nested deeper than the interpreter's call-depth
+    /// limit.
+    RecursionError,
     /// A user-defined exception class.
     Custom(String),
 }
@@ -628,6 +631,7 @@ impl ExcKind {
             ExcKind::RuntimeError => "RuntimeError",
             ExcKind::AssertionError => "AssertionError",
             ExcKind::ResourceExhausted => "ResourceExhausted",
+            ExcKind::RecursionError => "RecursionError",
             ExcKind::Custom(name) => name,
         }
     }
@@ -662,6 +666,7 @@ impl ExcKind {
             "ZeroDivisionError" => ExcKind::ZeroDivisionError,
             "RuntimeError" | "Exception" => ExcKind::RuntimeError,
             "AssertionError" => ExcKind::AssertionError,
+            "RecursionError" => ExcKind::RecursionError,
             other => ExcKind::Custom(other.to_owned()),
         }
     }

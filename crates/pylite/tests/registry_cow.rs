@@ -1,8 +1,9 @@
 //! Property tests for the copy-on-write [`Registry`].
 //!
-//! The COW overlay (`with_module`) and the incremental fingerprint are the
-//! load-bearing pieces of cheap probe construction in the debloater, so we
-//! check them against the obvious reference implementations under randomized
+//! The COW overlay (`with_module`, which masked probe overlays build on)
+//! and the incremental fingerprint are the load-bearing pieces of cheap
+//! probe construction in the debloater, so we check them against the
+//! obvious reference implementations under randomized
 //! module sets and edit sequences. Randomness comes from an inline
 //! splitmix64 LCG with fixed seeds — no external crates, fully deterministic.
 
