@@ -29,8 +29,8 @@
 use pylite::ast::{Expr, Program, Stmt};
 use pylite::Registry;
 use std::collections::{BTreeMap, BTreeSet};
-use trim_core::oracle::{oracle_passes, run_app, Execution, OracleSpec};
-use trim_core::TrimError;
+use trim_core::oracle::{Execution, OracleSpec, Probe};
+use trim_core::{DebloatOptions, TrimError};
 
 /// Result of running a baseline debloater.
 #[derive(Debug, Clone, PartialEq)]
@@ -51,6 +51,15 @@ impl BaselineReport {
     /// Total number of attributes removed.
     pub fn attrs_removed(&self) -> usize {
         self.removed.values().map(Vec::len).sum()
+    }
+}
+
+/// The oracle settings of both baselines: the default execution tier with
+/// init snapshots off, so every oracle run executes module bodies live.
+fn oracle_options() -> DebloatOptions {
+    DebloatOptions {
+        init_snapshots: false,
+        ..DebloatOptions::default()
     }
 }
 
@@ -322,12 +331,14 @@ fn faaslight_trim_module(program: &Program, roots: &BTreeSet<String>) -> (Progra
 /// # Errors
 ///
 /// [`TrimError::Baseline`] if the original application fails its oracle run.
+/// The per-module revert keeps the final [`Probe::verify`] passing.
 pub fn faaslight_trim(
     registry: &Registry,
     app_source: &str,
     spec: &OracleSpec,
 ) -> Result<BaselineReport, TrimError> {
-    let before = run_app(registry, app_source, spec).map_err(TrimError::Baseline)?;
+    let options = oracle_options();
+    let mut probe = Probe::baseline(registry, app_source, spec, &options)?;
     let app_program = pylite::parse(app_source).map_err(TrimError::Parse)?;
     // App-scope analysis only: FaaSLight's reachability does not model
     // library-internal re-export semantics, and the baseline should not
@@ -370,19 +381,19 @@ pub fn faaslight_trim(
         // code on demand; model its footprint as a small guard allocation.
         trimmed_src.push_str("__faaslight_guard__ = __lt_alloc__(0.5)\n");
         work.set_module(&module, trimmed_src);
-        if oracle_passes(&work, app_source, spec, &before) {
+        if probe.passes(&work) {
             removed.insert(module.clone(), module_removed);
         } else {
             work.set_module(&module, original_source);
             reverted.push(module.clone());
         }
     }
-    let after = run_app(&work, app_source, spec).map_err(TrimError::Baseline)?;
+    let after = probe.verify(&work)?;
     Ok(BaselineReport {
         registry: work,
         removed,
         reverted,
-        before,
+        before: probe.expected().clone(),
         after,
     })
 }
@@ -393,12 +404,14 @@ pub fn faaslight_trim(
 /// # Errors
 ///
 /// [`TrimError::Baseline`] if the original application fails its oracle run.
+/// The per-module revert keeps the final [`Probe::verify`] passing.
 pub fn vulture_trim(
     registry: &Registry,
     app_source: &str,
     spec: &OracleSpec,
 ) -> Result<BaselineReport, TrimError> {
-    let before = run_app(registry, app_source, spec).map_err(TrimError::Baseline)?;
+    let options = oracle_options();
+    let mut probe = Probe::baseline(registry, app_source, spec, &options)?;
     let app_program = pylite::parse(app_source).map_err(TrimError::Parse)?;
 
     // Union of every referenced name across the entire code base.
@@ -456,19 +469,19 @@ pub fn vulture_trim(
         }
         let original_source = work.source(&module).expect("module exists").to_owned();
         work.set_module(&module, pylite::unparse(&Program { body }));
-        if oracle_passes(&work, app_source, spec, &before) {
+        if probe.passes(&work) {
             removed.insert(module.clone(), module_removed);
         } else {
             work.set_module(&module, original_source);
             reverted.push(module.clone());
         }
     }
-    let after = run_app(&work, app_source, spec).map_err(TrimError::Baseline)?;
+    let after = probe.verify(&work)?;
     Ok(BaselineReport {
         registry: work,
         removed,
         reverted,
-        before,
+        before: probe.expected().clone(),
         after,
     })
 }

@@ -3,8 +3,8 @@
 //! registry.
 
 use crate::attributes::module_attributes;
-use crate::oracle::{run_app_measured_opts, Execution, OracleSpec};
-use crate::probe_cache::{app_fingerprint, ProbeCache, ProbeKey};
+use crate::oracle::{Execution, OracleSpec, Probe};
+use crate::probe_cache::ProbeCache;
 use crate::rewrite::BindingTable;
 use crate::TrimError;
 use pylite::{Engine, Registry};
@@ -52,16 +52,18 @@ pub struct DebloatOptions {
     /// (§5.1). Interprocedural (the default) yields larger exclusion sets
     /// and therefore fewer DD probes; app-only reproduces the seed scope.
     pub analysis: trim_analysis::AnalysisMode,
-    /// Cross-run oracle-verdict cache keyed by (registry fingerprint, app
-    /// fingerprint, module, keep-set). Share one [`ProbeCache`] across
-    /// analysis-mode comparisons and incremental retrims to skip probes
-    /// whose inputs have not changed. `None` disables cross-run caching.
+    /// Cross-run oracle-verdict cache keyed by the candidate registry's
+    /// content fingerprint and the app fingerprint (see
+    /// [`crate::probe_cache`]). Every verdict of a trim consults it: DD and
+    /// seed probes, commit re-verifies and slice probes. Share one
+    /// [`ProbeCache`] across analysis-mode comparisons and incremental
+    /// retrims to skip oracle runs whose candidate was already judged.
+    /// `None` disables caching.
     pub probe_cache: Option<Arc<ProbeCache>>,
     /// Must be 1: the static analysis and DD both run sequentially, as in
-    /// the paper, and any other value is a
-    /// [`TrimError::Config`](crate::TrimError::Config). Kept only because
-    /// existing struct literals name it; it goes with the next change to
-    /// the end-to-end benchmark.
+    /// the paper, and any other value is a [`TrimError::Config`]. Kept
+    /// only because existing struct literals name it; it goes with the
+    /// next change to the end-to-end benchmark.
     pub jobs: usize,
     /// Cross-run static-analysis summary cache. Share one
     /// [`trim_analysis::summary::SummaryCache`] across retrims so registry
@@ -74,8 +76,8 @@ pub struct DebloatOptions {
     pub hazards: HazardMode,
     /// Execution tier for oracle runs: the bytecode VM (default) or the
     /// tree-walking reference interpreter. Both are byte-identical in
-    /// behavior and metering; `Tree` exists as the differential baseline
-    /// and an escape hatch.
+    /// behavior and metering; `Tree` exists only as the differential
+    /// reference of the test suites.
     pub engine: Engine,
     /// Init-snapshot memoization (default: on): oracle runs record module
     /// initializations into the registry family's shared
@@ -139,35 +141,6 @@ impl Default for DebloatOptions {
     }
 }
 
-/// The valid `--engine` values, in documentation order.
-pub const ENGINE_TIERS: [(&str, &str); 2] = [
-    ("vm", "bytecode VM (default)"),
-    ("tree", "tree-walking reference interpreter"),
-];
-
-/// Parse a `--engine` CLI value. Accepts `vm` (the bytecode tier, default)
-/// and `tree` (the tree-walking reference interpreter).
-///
-/// # Errors
-///
-/// [`TrimError::Config`] for any other value.
-pub fn parse_engine(s: &str) -> Result<Engine, TrimError> {
-    match s {
-        "vm" => Ok(Engine::Vm),
-        "tree" => Ok(Engine::Tree),
-        other => {
-            let tiers = ENGINE_TIERS
-                .iter()
-                .map(|(name, what)| format!("`{name}` — {what}"))
-                .collect::<Vec<_>>()
-                .join(", ");
-            Err(TrimError::Config(format!(
-                "unknown engine `{other}` (expected vm|tree): valid tiers are {tiers}"
-            )))
-        }
-    }
-}
-
 /// The result of debloating one module.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ModuleReport {
@@ -209,12 +182,12 @@ pub fn debloat_module(
     must_keep: &BTreeSet<String>,
     options: &DebloatOptions,
 ) -> Result<ModuleReport, TrimError> {
+    let mut probe = Probe::new(app_source, spec, expected.clone(), options);
     let hints = KeepHints {
         must_keep,
         seed: None,
     };
-    debloat_module_seeded(work, app_source, spec, expected, module, hints, options)
-        .map(|(report, _)| report)
+    debloat_module_seeded(work, &mut probe, module, hints, options).map(|(report, _)| report)
 }
 
 /// What is known about a module's kept set before its DD run.
@@ -226,16 +199,15 @@ pub(crate) struct KeepHints<'a> {
     pub seed: Option<&'a BTreeSet<String>>,
 }
 
-/// [`debloat_module`] with an optional seed. A seeded run first probes
-/// `(seed ∩ candidates) ∪ must_keep`; if that passes, DD searches only
-/// inside the seed, otherwise over every candidate. The seed probe counts
-/// in the report's `dd_stats.oracle_invocations`. Also returns whether the
-/// seed probe passed (`false` without a seed).
+/// [`debloat_module`] with an optional seed, judged by the trim's `probe`.
+/// A seeded run first probes `(seed ∩ candidates) ∪ must_keep`; if that
+/// passes, DD searches only inside the seed, otherwise over every
+/// candidate. The seed probe counts in the report's
+/// `dd_stats.oracle_invocations`. Also returns whether the seed probe
+/// passed (`false` without a seed).
 pub(crate) fn debloat_module_seeded(
     work: &mut Registry,
-    app_source: &str,
-    spec: &OracleSpec,
-    expected: &Execution,
+    probe: &mut Probe<'_>,
     module: &str,
     hints: KeepHints<'_>,
     options: &DebloatOptions,
@@ -257,44 +229,15 @@ pub(crate) fn debloat_module_seeded(
         .cloned()
         .collect();
 
-    // Probe time accumulates in whole virtual nanoseconds.
-    let mut spent_nanos = 0u64;
-
+    let start_secs = probe.secs();
     // One probe = one masked overlay over the working registry: the module
     // keeps its parsed, resolved and compiled code and runs only the
     // statements the candidate's keep-mask keeps (DESIGN.md §16); every
-    // other module is shared as is. Verdicts are memoized in the cross-run
-    // probe cache when one is attached.
+    // other module is shared as is.
     let table = BindingTable::new(&program);
-    let app_fp = app_fingerprint(app_source, spec);
     let mut oracle = |subset: &[String]| -> bool {
         let keep: BTreeSet<String> = fixed.iter().chain(subset).cloned().collect();
-        let key = options
-            .probe_cache
-            .as_ref()
-            .map(|_| ProbeKey::new(work.fingerprint(), app_fp, module, keep.iter().cloned()));
-        if let (Some(cache), Some(key)) = (&options.probe_cache, &key) {
-            if let Some(verdict) = cache.get(key) {
-                return verdict;
-            }
-        }
-        let candidate_registry = work.with_mask(module, Arc::new(table.mask(&keep)));
-        let (result, secs) = run_app_measured_opts(
-            &candidate_registry,
-            app_source,
-            spec,
-            options.engine,
-            options.init_snapshots,
-        );
-        spent_nanos += (secs * 1e9) as u64;
-        let verdict = match result {
-            Ok(actual) => actual.behavior_eq(expected),
-            Err(_) => false,
-        };
-        if let (Some(cache), Some(key)) = (&options.probe_cache, key) {
-            cache.insert(key, verdict);
-        }
-        verdict
+        probe.passes(&work.with_mask(module, Arc::new(table.mask(&keep))))
     };
 
     let mut seed_ok = false;
@@ -314,7 +257,6 @@ pub(crate) fn debloat_module_seeded(
         Algorithm::Greedy => greedy_min(&candidates, &mut oracle),
     };
 
-    let debloat_secs = spent_nanos as f64 / 1e9;
     let mut report = match dd_result {
         Ok(result) => {
             let survivors: BTreeSet<String> = result.minimized.iter().cloned().collect();
@@ -328,14 +270,7 @@ pub(crate) fn debloat_module_seeded(
             // oracle (the candidate that passed probing also passes here,
             // but this guards against any rewrite/commit divergence — the
             // §5.4 philosophy of never making the app worse).
-            let (verify, verify_secs) = run_app_measured_opts(
-                work,
-                app_source,
-                spec,
-                options.engine,
-                options.init_snapshots,
-            );
-            let committed_ok = matches!(&verify, Ok(actual) if actual.behavior_eq(expected));
+            let committed_ok = probe.passes(work);
             if !committed_ok {
                 work.set_module(module, original_source);
             }
@@ -350,7 +285,7 @@ pub(crate) fn debloat_module_seeded(
                 removed,
                 kept,
                 dd_stats: result.stats,
-                debloat_secs: debloat_secs + verify_secs,
+                debloat_secs: probe.secs() - start_secs,
             }
         }
         Err(trim_dd::DdError::OracleRejectsWhole) => {
@@ -363,7 +298,7 @@ pub(crate) fn debloat_module_seeded(
                 removed: Vec::new(),
                 kept: attrs,
                 dd_stats: DdStats::default(),
-                debloat_secs,
+                debloat_secs: probe.secs() - start_secs,
             }
         }
     };
@@ -608,25 +543,6 @@ mod tests {
             .unwrap();
             assert_eq!(report.removed, vec!["unused".to_owned()], "{engine:?}");
             assert_eq!(report.kept, vec!["f".to_owned(), "helper".to_owned()]);
-        }
-    }
-
-    #[test]
-    fn parse_engine_accepts_both_tiers() {
-        assert_eq!(parse_engine("vm").unwrap(), Engine::Vm);
-        assert_eq!(parse_engine("tree").unwrap(), Engine::Tree);
-    }
-
-    #[test]
-    fn parse_engine_rejects_unknown_values() {
-        for bad in ["", "VM", "jit", "treewalker"] {
-            match parse_engine(bad) {
-                Err(TrimError::Config(msg)) => {
-                    assert!(msg.contains(&format!("unknown engine `{bad}`")), "{msg}");
-                    assert!(msg.contains("expected vm|tree"), "{msg}");
-                }
-                other => panic!("expected Config error for {bad:?}, got {other:?}"),
-            }
         }
     }
 

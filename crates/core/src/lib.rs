@@ -13,7 +13,8 @@
 //!
 //! * [`attributes`] — attribute-granularity decomposition of modules (§6.1);
 //! * [`rewrite`] — single-traversal AST rewriting to a kept attribute set;
-//! * [`oracle`] — test-case execution and behavioral equivalence (§5.3);
+//! * [`oracle`] — test-case execution, behavioral equivalence and the
+//!   [`Probe`] every verdict of a trim goes through (§5.3);
 //! * [`debloater`] — per-module Delta Debugging with probe isolation (§6.3);
 //! * [`slicer`] — statement-level selective-init slicing of kept modules;
 //! * [`pipeline`] — the full analyzer → profiler → debloater flow;
@@ -60,16 +61,14 @@ pub mod slicer;
 use std::fmt;
 
 pub use attributes::{is_magic, module_attributes};
-pub use debloater::{
-    debloat_module, parse_engine, Algorithm, DebloatOptions, HazardMode, ModuleReport, ENGINE_TIERS,
-};
+pub use debloater::{debloat_module, Algorithm, DebloatOptions, HazardMode, ModuleReport};
 pub use deployment::{package, wrapper_source, DeploymentPackage};
 pub use fallback::{
     invoke_with_fallback, FallbackCost, FallbackInstanceState, FallbackOutcome, FALLBACK_SETUP_SECS,
 };
 pub use incremental::{retrim_with_log, IncrementalReport, TrimLog};
 pub use oracle::{
-    oracle_passes, run_app, run_app_measured_opts, run_app_opts, Execution, OracleSpec, TestCase,
+    run_app, run_app_measured_opts, run_app_opts, Execution, OracleSpec, Probe, TestCase,
 };
 pub use pipeline::{trim_app, trim_corpus_parallel, CorpusJob, TrimReport};
 pub use probe_cache::{app_fingerprint, ProbeCache, ProbeKey};
@@ -92,22 +91,9 @@ pub enum TrimError {
     Config(String),
     /// The trimmed application's final oracle run differs from the
     /// baseline on the named observable channel. Every path that emits a
-    /// trimmed application ends with this check, in release builds too.
+    /// trimmed application ends with this check ([`oracle::Probe::verify`]),
+    /// in release builds too.
     NotEquivalent(&'static str),
-}
-
-impl TrimError {
-    /// The soundness check that ends every trim: `after` (the trimmed
-    /// application's run) must be oracle-equivalent to `before`.
-    pub(crate) fn check_equivalent(
-        before: &oracle::Execution,
-        after: &oracle::Execution,
-    ) -> Result<(), TrimError> {
-        match after.behavior_diff(before) {
-            None => Ok(()),
-            Some(channel) => Err(TrimError::NotEquivalent(channel)),
-        }
-    }
 }
 
 impl fmt::Display for TrimError {

@@ -7,7 +7,13 @@
 //! return values, and the log of external-service calls — the serverless
 //! side-effect surface §5.3 identifies (local side effects are ignorable
 //! because instances are stateless).
+//!
+//! Within a trim every oracle run goes through one [`Probe`]: the baseline
+//! run, each candidate's verdict and the final check.
 
+use crate::debloater::DebloatOptions;
+use crate::probe_cache::{app_fingerprint, ProbeKey};
+use crate::TrimError;
 use pylite::ast::Expr;
 use pylite::{parse_expr, py_repr, Engine, ExcKind, Interpreter, PyErr, Registry, Value};
 
@@ -237,23 +243,132 @@ fn run_app_inner(
     })
 }
 
-/// An oracle closure over (registry, app, spec, expected behavior): returns
-/// `true` iff the app still runs and behaves identically.
-pub fn oracle_passes(
-    registry: &Registry,
-    app_source: &str,
-    spec: &OracleSpec,
-    expected: &Execution,
-) -> bool {
-    match run_app(registry, app_source, spec) {
-        Ok(actual) => actual.behavior_eq(expected),
-        Err(_) => false,
+/// The oracle of one trim: "does this candidate registry still behave like
+/// the unmodified application on every oracle case?" (§5.3).
+///
+/// Every verdict of a trim goes through [`Probe::passes`]: DD candidates,
+/// seed probes, commit re-verifies and slice probes alike. With a
+/// [`ProbeCache`](crate::ProbeCache) attached, a verdict is keyed by the candidate's content
+/// [fingerprint](Registry::fingerprint) and the [`app_fingerprint`] of the
+/// app, spec and expected behavior, so candidates with equal content share
+/// one oracle run within a trim and across trims.
+#[derive(Debug)]
+pub struct Probe<'a> {
+    app_source: &'a str,
+    spec: &'a OracleSpec,
+    options: &'a DebloatOptions,
+    expected: Execution,
+    app_fp: u64,
+    /// Virtual time of the oracle runs behind [`Probe::passes`], in whole
+    /// nanoseconds.
+    nanos: u64,
+    checks: u64,
+}
+
+impl<'a> Probe<'a> {
+    /// A probe holding candidates to `expected`, with `options`' probe
+    /// cache, execution tier and init-snapshot switch.
+    pub fn new(
+        app_source: &'a str,
+        spec: &'a OracleSpec,
+        expected: Execution,
+        options: &'a DebloatOptions,
+    ) -> Self {
+        Probe {
+            app_fp: app_fingerprint(app_source, spec, &expected),
+            app_source,
+            spec,
+            options,
+            expected,
+            nanos: 0,
+            checks: 0,
+        }
+    }
+
+    /// Run the unmodified application on `registry` and build the probe
+    /// that holds every later candidate to that behavior.
+    ///
+    /// # Errors
+    ///
+    /// [`TrimError::Baseline`] if the application fails its own oracle
+    /// run: DD requires `O(P) = T` on the unmodified program.
+    pub fn baseline(
+        registry: &Registry,
+        app_source: &'a str,
+        spec: &'a OracleSpec,
+        options: &'a DebloatOptions,
+    ) -> Result<Self, TrimError> {
+        let (engine, snapshots) = (options.engine, options.init_snapshots);
+        let expected = run_app_opts(registry, app_source, spec, engine, snapshots)
+            .map_err(TrimError::Baseline)?;
+        Ok(Probe::new(app_source, spec, expected, options))
+    }
+
+    fn run(&self, registry: &Registry) -> (Result<Execution, PyErr>, f64) {
+        let (engine, snapshots) = (self.options.engine, self.options.init_snapshots);
+        run_app_measured_opts(registry, self.app_source, self.spec, engine, snapshots)
+    }
+
+    /// Whether `candidate` runs and behaves like the expected execution.
+    /// A cached verdict is returned without an oracle run and charges no
+    /// virtual time.
+    pub fn passes(&mut self, candidate: &Registry) -> bool {
+        self.checks += 1;
+        let key = ProbeKey {
+            registry_fingerprint: candidate.fingerprint(),
+            app_fingerprint: self.app_fp,
+        };
+        let cache = self.options.probe_cache.as_deref();
+        if let Some(verdict) = cache.and_then(|cache| cache.get(&key)) {
+            return verdict;
+        }
+        let (result, secs) = self.run(candidate);
+        self.nanos += (secs * 1e9) as u64;
+        let verdict = matches!(&result, Ok(actual) if actual.behavior_eq(&self.expected));
+        if let Some(cache) = cache {
+            cache.insert(key, verdict);
+        }
+        verdict
+    }
+
+    /// The final check of a trim: run `trimmed` (never from the cache)
+    /// and return its execution if it is oracle-equivalent.
+    ///
+    /// # Errors
+    ///
+    /// [`TrimError::Baseline`] if the run raises,
+    /// [`TrimError::NotEquivalent`] if its behavior differs.
+    pub fn verify(&self, trimmed: &Registry) -> Result<Execution, TrimError> {
+        let after = self.run(trimmed).0.map_err(TrimError::Baseline)?;
+        match after.behavior_diff(&self.expected) {
+            None => Ok(after),
+            Some(channel) => Err(TrimError::NotEquivalent(channel)),
+        }
+    }
+
+    /// The behavior every candidate is held to.
+    pub fn expected(&self) -> &Execution {
+        &self.expected
+    }
+
+    /// Virtual seconds spent in the oracle runs behind [`Probe::passes`]:
+    /// the "debloating time" of Table 3. Cache hits add nothing.
+    pub fn secs(&self) -> f64 {
+        self.nanos as f64 / 1e9
+    }
+
+    /// Verdicts asked of [`Probe::passes`], cache hits included.
+    pub fn checks(&self) -> u64 {
+        self.checks
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ProbeCache;
+    use pylite::KeepMask;
+    use std::sync::Arc;
 
     fn registry() -> Registry {
         let mut r = Registry::new();
@@ -300,28 +415,112 @@ mod tests {
         assert!(!a.behavior_eq(&b));
     }
 
+    /// Whether `candidate` passes a cache-less probe of [`APP`].
+    fn passes(candidate: &Registry) -> bool {
+        let (spec, options) = (spec(), DebloatOptions::default());
+        let mut probe = Probe::baseline(&registry(), APP, &spec, &options).unwrap();
+        probe.passes(candidate)
+    }
+
     #[test]
     fn oracle_passes_on_equivalent_rewrite() {
-        let expected = run_app(&registry(), APP, &spec()).unwrap();
         let mut trimmed = registry();
         trimmed.set_module("mathlib", "def double(x):\n    return x * 2\n");
-        assert!(oracle_passes(&trimmed, APP, &spec(), &expected));
+        assert!(passes(&trimmed));
     }
 
     #[test]
     fn oracle_fails_on_behavior_change() {
-        let expected = run_app(&registry(), APP, &spec()).unwrap();
         let mut broken = registry();
         broken.set_module("mathlib", "def double(x):\n    return x * 3\n");
-        assert!(!oracle_passes(&broken, APP, &spec(), &expected));
+        assert!(!passes(&broken));
     }
 
     #[test]
     fn oracle_fails_on_crash() {
-        let expected = run_app(&registry(), APP, &spec()).unwrap();
         let mut broken = registry();
         broken.set_module("mathlib", "pass\n");
-        assert!(!oracle_passes(&broken, APP, &spec(), &expected));
+        assert!(!passes(&broken));
+    }
+
+    /// A probe of [`APP`] with a fresh probe cache attached.
+    fn cached_options() -> (DebloatOptions, std::sync::Arc<ProbeCache>) {
+        let cache = ProbeCache::shared();
+        let options = DebloatOptions {
+            probe_cache: Some(cache.clone()),
+            ..DebloatOptions::default()
+        };
+        (options, cache)
+    }
+
+    #[test]
+    fn a_cache_hit_charges_no_virtual_time() {
+        let (options, cache) = cached_options();
+        let spec = spec();
+        let mut probe = Probe::baseline(&registry(), APP, &spec, &options).unwrap();
+        assert!(probe.passes(&registry()));
+        let spent = probe.secs();
+        assert!(spent > 0.0, "a miss runs the oracle");
+        assert!(probe.passes(&registry()));
+        assert_eq!(probe.secs(), spent, "the hit charged nothing");
+        assert_eq!(probe.checks(), 2, "hits still count as checks");
+        assert_eq!((cache.hits(), cache.misses()), (1, 1));
+    }
+
+    #[test]
+    fn keep_masks_of_one_module_get_different_keys() {
+        let (options, cache) = cached_options();
+        let spec = spec();
+        let base = registry();
+        let mut probe = Probe::baseline(&base, APP, &spec, &options).unwrap();
+        // `mathlib` has two statements: drop `unused`, or drop `double`.
+        let keep_double = base.with_mask("mathlib", Arc::new(KeepMask::statements(2, &[0])));
+        let keep_unused = base.with_mask("mathlib", Arc::new(KeepMask::statements(2, &[1])));
+        assert_ne!(keep_double.fingerprint(), keep_unused.fingerprint());
+        assert!(probe.passes(&keep_double));
+        assert!(
+            !probe.passes(&keep_unused),
+            "a shared key would reuse the pass"
+        );
+        assert_eq!((cache.hits(), cache.misses()), (0, 2));
+    }
+
+    #[test]
+    fn equal_content_in_any_insertion_order_shares_a_key() {
+        let (options, cache) = cached_options();
+        let spec = spec();
+        let mut probe = Probe::baseline(&registry(), APP, &spec, &options).unwrap();
+        let helper = "def triple(x):\n    return x * 3\n";
+        let mut first = registry();
+        first.set_module("helper", helper);
+        let mut second = Registry::new();
+        second.set_module("helper", helper);
+        second.set_module("mathlib", registry().source("mathlib").unwrap());
+        assert!(probe.passes(&first));
+        assert!(probe.passes(&second));
+        assert_eq!((cache.hits(), cache.misses()), (1, 1));
+    }
+
+    #[test]
+    fn verify_returns_the_run_or_names_the_differing_channel() {
+        let spec = spec();
+        let options = DebloatOptions::default();
+        let probe = Probe::baseline(&registry(), APP, &spec, &options).unwrap();
+        let after = probe.verify(&registry()).unwrap();
+        assert!(after.behavior_eq(probe.expected()));
+        let mut broken = registry();
+        broken.set_module("mathlib", "def double(x):\n    return x * 3\n");
+        let err = probe.verify(&broken).unwrap_err();
+        assert_eq!(err, TrimError::NotEquivalent("handler results"));
+        assert!(err.to_string().contains("not oracle-equivalent"), "{err}");
+        let mut chatty = registry();
+        let source = format!("print(1)\n{}", chatty.source("mathlib").unwrap());
+        chatty.set_module("mathlib", source);
+        assert_eq!(
+            probe.verify(&chatty),
+            Err(TrimError::NotEquivalent("stdout"))
+        );
+        assert_eq!(probe.checks(), 0, "the final check is not a probe");
     }
 
     #[test]
@@ -337,8 +536,10 @@ mod tests {
         assert_eq!(expected.extcalls, vec!["s3:put:payload"]);
         let mut silent = r.clone();
         silent.set_module("svc", "def put(x):\n    pass\n");
+        let options = DebloatOptions::default();
+        let mut probe = Probe::new(app, &spec, expected, &options);
         assert!(
-            !oracle_passes(&silent, app, &spec, &expected),
+            !probe.passes(&silent),
             "dropping the external call must fail the oracle"
         );
     }

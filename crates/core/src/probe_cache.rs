@@ -1,61 +1,41 @@
-//! Cross-run memoization of DD oracle verdicts (§8.3 scalability).
+//! Cross-run memoization of oracle verdicts (§8.3 scalability).
 //!
-//! A DD probe's verdict is fully determined by the *base* registry content,
-//! the application + oracle spec, the module being rewritten, and the kept
-//! attribute set — the rewrite itself is deterministic. [`ProbeCache`] keys
-//! verdicts on exactly that tuple, using the registry's incremental content
-//! [fingerprint](pylite::Registry::fingerprint), so probe results are shared
+//! A verdict of [`crate::oracle::Probe::passes`] is fully determined by
+//! the content of the candidate registry and by the application, oracle
+//! spec and expected behavior it is held to. [`ProbeCache`] keys verdicts
+//! on exactly that pair: the candidate's incremental content
+//! [fingerprint](pylite::Registry::fingerprint), which for a masked
+//! overlay mixes in the keep-mask's digest, and the [`app_fingerprint`].
+//! DD candidates, seed probes, commit re-verifies and slice probes are all
+//! cached, and verdicts are shared
 //!
 //! * across analysis-mode comparisons (app-only vs interprocedural runs of
 //!   the same app probe many identical candidates),
-//! * across incremental retrims (a retrim after a small corpus edit only
-//!   re-probes modules whose fingerprint-relevant inputs changed), and
+//! * across incremental retrims (an unchanged redeploy asks only questions
+//!   already answered; an edited module's candidates have new content), and
 //! * across threads (the cache is `Send + Sync`; share it via `Arc`).
 //!
 //! This sits *above* the per-run subset cache inside `trim-dd`: that one
 //! dedupes subsets within a single `ddmin` run, this one survives runs.
 
-use crate::oracle::OracleSpec;
+use crate::oracle::{Execution, OracleSpec};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
-/// The identity of one oracle probe.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// The identity of one oracle verdict.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ProbeKey {
-    /// Content fingerprint of the base registry the probe overlays.
+    /// Content fingerprint of the candidate registry.
     pub registry_fingerprint: u64,
-    /// Fingerprint of the application source + oracle spec.
+    /// [`app_fingerprint`] of what the candidate is held to.
     pub app_fingerprint: u64,
-    /// The module whose attribute set is being minimized.
-    pub module: String,
-    /// The kept attribute set (sorted, deduplicated).
-    pub keep: Vec<String>,
 }
 
-impl ProbeKey {
-    /// Build a key from the probe's inputs. `keep` may arrive in any order.
-    pub fn new(
-        registry_fingerprint: u64,
-        app_fingerprint: u64,
-        module: &str,
-        keep: impl IntoIterator<Item = String>,
-    ) -> Self {
-        let mut keep: Vec<String> = keep.into_iter().collect();
-        keep.sort();
-        keep.dedup();
-        ProbeKey {
-            registry_fingerprint,
-            app_fingerprint,
-            module: module.to_owned(),
-            keep,
-        }
-    }
-}
-
-/// Stable fingerprint of the application source and oracle specification —
-/// the probe-verdict inputs the registry fingerprint does not cover.
-pub fn app_fingerprint(app_source: &str, spec: &OracleSpec) -> u64 {
+/// Stable fingerprint of the application source, the oracle specification
+/// and the expected behavior — the verdict inputs the registry fingerprint
+/// does not cover.
+pub fn app_fingerprint(app_source: &str, spec: &OracleSpec, expected: &Execution) -> u64 {
     const PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     let mut eat = |bytes: &[u8]| {
@@ -71,6 +51,12 @@ pub fn app_fingerprint(app_source: &str, spec: &OracleSpec) -> u64 {
     for case in &spec.cases {
         eat(case.event.as_bytes());
         eat(case.context.as_bytes());
+    }
+    for channel in [&expected.stdout, &expected.extcalls, &expected.results] {
+        for line in channel {
+            eat(line.as_bytes());
+        }
+        eat(&[0xff]);
     }
     h
 }
@@ -160,43 +146,56 @@ mod tests {
     use crate::oracle::TestCase;
 
     #[test]
-    fn key_normalizes_keep_order() {
-        let a = ProbeKey::new(1, 2, "m", ["b".to_owned(), "a".to_owned()]);
-        let b = ProbeKey::new(1, 2, "m", ["a".to_owned(), "b".to_owned(), "a".to_owned()]);
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn get_insert_and_accounting() {
         let cache = ProbeCache::shared();
-        let key = ProbeKey::new(1, 2, "m", ["a".to_owned()]);
+        let key = ProbeKey {
+            registry_fingerprint: 1,
+            app_fingerprint: 2,
+        };
         assert_eq!(cache.get(&key), None);
-        cache.insert(key.clone(), true);
+        cache.insert(key, true);
         assert_eq!(cache.get(&key), Some(true));
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 1);
         assert_eq!(cache.insertions(), 1);
         assert_eq!(cache.len(), 1);
         // Overwriting a verdict counts as an insertion but not a new key.
-        cache.insert(key.clone(), false);
+        cache.insert(key, false);
         assert_eq!(cache.insertions(), 2);
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.get(&key), Some(false));
         assert_eq!(cache.hits(), 2);
     }
 
+    fn execution(results: &[&str]) -> Execution {
+        Execution {
+            stdout: Vec::new(),
+            extcalls: Vec::new(),
+            results: results.iter().map(|r| (*r).to_owned()).collect(),
+            init_secs: 0.0,
+            exec_secs: 0.0,
+            mem_mb: 0.0,
+        }
+    }
+
     #[test]
     fn app_fingerprint_separates_inputs() {
         let spec = OracleSpec::new(vec![TestCase::event("{}")]);
-        let a = app_fingerprint("import x\n", &spec);
-        let b = app_fingerprint("import y\n", &spec);
+        let none = execution(&["None"]);
+        let a = app_fingerprint("import x\n", &spec, &none);
+        let b = app_fingerprint("import y\n", &spec, &none);
         assert_ne!(a, b);
         let spec2 = OracleSpec::new(vec![TestCase::event("{\"n\": 1}")]);
-        assert_ne!(
-            app_fingerprint("import x\n", &spec),
-            app_fingerprint("import x\n", &spec2)
+        assert_ne!(a, app_fingerprint("import x\n", &spec2, &none));
+        // The same app held to a different baseline behavior.
+        assert_ne!(a, app_fingerprint("import x\n", &spec, &execution(&["1"])));
+        let mut timed = none.clone();
+        timed.init_secs = 9.0;
+        assert_eq!(
+            a,
+            app_fingerprint("import x\n", &spec, &timed),
+            "timings are not behavior"
         );
-        assert_eq!(a, app_fingerprint("import x\n", &spec));
     }
 
     #[test]
@@ -226,9 +225,12 @@ mod tests {
         );
 
         let spec = OracleSpec::new(vec![TestCase::event("{}")]);
-        let app = app_fingerprint("import m\n", &spec);
-        let k1 = ProbeKey::new(r1.fingerprint(), app, "m", ["alpha".to_owned()]);
-        let k2 = ProbeKey::new(r2.fingerprint(), app, "m", ["alpha".to_owned()]);
+        let app = app_fingerprint("import m\n", &spec, &execution(&["None"]));
+        let key = |r: &pylite::Registry| ProbeKey {
+            registry_fingerprint: r.fingerprint(),
+            app_fingerprint: app,
+        };
+        let (k1, k2) = (key(&r1), key(&r2));
         assert_eq!(k1, k2, "probe keys stay content-based");
 
         let cache = ProbeCache::shared();

@@ -19,13 +19,13 @@
 
 use crate::attributes::module_attributes;
 use crate::debloater::DebloatOptions;
-use crate::oracle::{run_app_measured_opts, Execution, OracleSpec};
+use crate::oracle::{Execution, OracleSpec, Probe};
 use crate::TrimError;
 use pylite::{KeepMask, Registry};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use trim_analysis::slice::slice_init;
-use trim_dd::ddmax_with;
+use trim_dd::{ddmax_with, DdOptions};
 
 /// The result of slicing one module's init body.
 #[derive(Debug, Clone, PartialEq)]
@@ -77,6 +77,19 @@ pub fn slice_modules(
     hazard_modules: &BTreeSet<String>,
     options: &DebloatOptions,
 ) -> Result<Vec<SliceReport>, TrimError> {
+    let mut probe = Probe::new(app_source, spec, expected.clone(), options);
+    slice_with(work, &mut probe, candidates, hazard_modules, options.dd)
+}
+
+/// [`slice_modules`] judged by the trim's `probe`, with `dd` bounding each
+/// ddmax refinement.
+pub(crate) fn slice_with(
+    work: &mut Registry,
+    probe: &mut Probe<'_>,
+    candidates: &[String],
+    hazard_modules: &BTreeSet<String>,
+    dd: DdOptions,
+) -> Result<Vec<SliceReport>, TrimError> {
     let mut reports = Vec::with_capacity(candidates.len());
     for module in candidates {
         if !work.contains(module) {
@@ -103,27 +116,16 @@ pub fn slice_modules(
             continue;
         }
 
-        let mut secs = 0.0f64;
-        let mut invocations = 0u64;
+        let (start_secs, start_checks) = (probe.secs(), probe.checks());
         // One probe = one masked overlay, exactly like a DD probe: the
         // module runs only the kept statements of its compiled body.
-        let mut probe = |kept: &[usize], base: &Registry| -> bool {
-            let candidate = base.with_mask(module, Arc::new(KeepMask::statements(total, kept)));
-            let (result, s) = run_app_measured_opts(
-                &candidate,
-                app_source,
-                spec,
-                options.engine,
-                options.init_snapshots,
-            );
-            secs += s;
-            invocations += 1;
-            matches!(&result, Ok(actual) if actual.behavior_eq(expected))
+        let mut passes = |kept: &[usize]| -> bool {
+            probe.passes(&work.with_mask(module, Arc::new(KeepMask::statements(total, kept))))
         };
 
         let mut refined = false;
         let mut fell_back = false;
-        let committed: Option<Vec<usize>> = if probe(&slice.kept, work) {
+        let committed: Option<Vec<usize>> = if passes(&slice.kept) {
             Some(slice.kept.clone())
         } else {
             // The static slice overshot (a dropped statement mattered after
@@ -135,9 +137,9 @@ pub fn slice_modules(
             let mut oracle = |dropped: &[usize]| -> bool {
                 let drop: BTreeSet<usize> = dropped.iter().copied().collect();
                 let kept: Vec<usize> = (0..total).filter(|i| !drop.contains(i)).collect();
-                probe(&kept, work)
+                passes(&kept)
             };
-            match ddmax_with(&droppable, &mut oracle, options.dd) {
+            match ddmax_with(&droppable, &mut oracle, dd) {
                 Ok(result) if !result.minimized.is_empty() => {
                     let drop: BTreeSet<usize> = result.minimized.iter().copied().collect();
                     Some((0..total).filter(|i| !drop.contains(i)).collect())
@@ -162,8 +164,8 @@ pub fn slice_modules(
             pinned: slice.pinned.len(),
             refined,
             fell_back,
-            slice_secs: secs,
-            oracle_invocations: invocations,
+            slice_secs: probe.secs() - start_secs,
+            oracle_invocations: probe.checks() - start_checks,
         });
     }
     Ok(reports)
@@ -269,19 +271,19 @@ mod tests {
         // call the probe path directly via a handcrafted candidate list is
         // not possible, so assert the refinement contract at the ddmax
         // level instead — the maximal droppable subset keeps seq and limit.
-        let probe = |kept: &[usize], base: &Registry| -> bool {
+        let (spec, options) = (spec(), DebloatOptions::default());
+        let mut probe = Probe::new(app, &spec, expected, &options);
+        let mut passes = |kept: &[usize]| -> bool {
             let mask = KeepMask::statements(program.body.len(), kept);
-            let cand = base.with_mask("tricky", Arc::new(mask));
-            let (result, _) = run_app_measured_opts(&cand, app, &spec(), pylite::Engine::Vm, true);
-            matches!(&result, Ok(actual) if actual.behavior_eq(&expected))
+            probe.passes(&work.with_mask("tricky", Arc::new(mask)))
         };
-        assert!(!probe(&slice.kept, &work), "narrow slice breaks the app");
+        assert!(!passes(&slice.kept), "narrow slice breaks the app");
         let droppable = slice.dropped();
         let total = slice.total;
         let mut oracle = |dropped: &[usize]| -> bool {
             let drop: BTreeSet<usize> = dropped.iter().copied().collect();
             let kept: Vec<usize> = (0..total).filter(|i| !drop.contains(i)).collect();
-            probe(&kept, &work)
+            passes(&kept)
         };
         let refined = ddmax_with(&droppable, &mut oracle, Default::default()).unwrap();
         let drop: BTreeSet<usize> = refined.minimized.iter().copied().collect();

@@ -15,8 +15,8 @@
 //!   [`crate::Engine::Tree`] and is the behavioral reference: stdout,
 //!   exceptions, meter ticks, simulated allocations, observed accesses and
 //!   namespace contents must match exactly. Per-node `expr_node_ns` ticks
-//!   are preserved by *merging* adjacent entry ticks into [`Insn::Tick`]
-//!   (or into the leading [`Insn::StmtTick`]) — exact because the meter is
+//!   are preserved by *merging* adjacent entry ticks into `Insn::Tick`
+//!   (or into the leading `Insn::StmtTick`) — exact because the meter is
 //!   a saturating counter and ticks are flushed before every instruction
 //!   that can raise, allocate, or snapshot the meter.
 //! - **Cold constructs delegate.** Definition-time work (function

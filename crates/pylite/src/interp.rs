@@ -189,7 +189,7 @@ struct IcEntry {
 /// [`Engine::Vm`] (the default) compiles the resolved IR into the compact
 /// bytecode of [`crate::bytecode`] and runs its dispatch loop;
 /// [`Engine::Tree`] walks the resolved AST directly and is retained as the
-/// differential reference (`--engine tree`). Both tiers are byte-identical
+/// differential reference of the test suites. Both tiers are byte-identical
 /// in observable behavior: stdout, exceptions, meter ticks and simulated
 /// allocations, and observed accesses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

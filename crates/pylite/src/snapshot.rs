@@ -32,14 +32,14 @@
 //! On top, the pipeline seeds a **deny set** from the static analyzer's
 //! hazard facts (opaque getattr, foreign mutation through aliases), routing
 //! statically-suspicious modules to live execution without ever recording.
-//! Structural soundness (index bounds, kind agreement) is [`validate`]d
+//! Structural soundness (index bounds, kind agreement) is validated
 //! once when an entry enters the store — so replay itself is infallible —
 //! and the one remaining replay-time inconsistency (recording-order
 //! mismatch) *poisons* the entry: it is dropped and the import falls back
 //! to live execution.
 //!
-//! Replay is *lazy*: [`rehydrate`] builds only module shells, and each
-//! shell's namespace materializes bindings on demand ([`LazyModuleNs`]) —
+//! Replay is *lazy*: `rehydrate` builds only module shells, and each
+//! shell's namespace materializes bindings on demand (`LazyModuleNs`) —
 //! single bindings on attribute lookup, everything on iteration-style
 //! access. A shared per-replay arena memo keeps aliasing exact no matter
 //! which module forces first, so a probe pays O(modules) up front plus

@@ -160,7 +160,7 @@ pub struct Args {
 }
 
 impl Args {
-    /// Parse from an iterator of raw arguments (excluding argv[0]).
+    /// Parse from an iterator of raw arguments (excluding `argv[0]`).
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Args {
         let mut out = Args::default();
         let mut iter = args.into_iter().peekable();
@@ -224,17 +224,6 @@ impl Args {
         self.get(key)
             .ok_or_else(|| format!("missing required option --{key}"))
     }
-}
-
-/// Resolve an `--engine` string to a [`pylite::Engine`]. Thin wrapper over
-/// [`trim_core::parse_engine`] — the library owns the accepted tiers and
-/// the error message, so the CLI cannot drift from it.
-///
-/// # Errors
-///
-/// A message enumerating the valid tiers.
-pub fn parse_engine(s: &str) -> Result<pylite::Engine, String> {
-    trim_core::parse_engine(s).map_err(|e| e.to_string())
 }
 
 /// Resolve a `--scoring` string to a [`trim_profiler::ScoringMethod`].

@@ -9,9 +9,7 @@
 //! lambda-trim simulate --trace trace.csv [--jobs 8] [--out metrics.json]
 //! ```
 
-use lambda_trim::cli::{
-    load_registry, parse_engine, parse_oracle_file, parse_scoring, write_registry, Args,
-};
+use lambda_trim::cli::{load_registry, parse_oracle_file, parse_scoring, write_registry, Args};
 use std::path::Path;
 use std::process::ExitCode;
 use trim_core::{trim_app, DebloatOptions};
@@ -41,7 +39,6 @@ trim:
     --k <N>             modules to debloat                [default: 20]
     --scoring <M>       combined|time|memory|random      [default: combined]
     --algorithm <A>     ddmin|greedy                      [default: ddmin]
-    --engine <E>        oracle execution tier: vm|tree    [default: vm]
     --no-slice          skip statement-level selective-init slicing of kept
                         modules (on by default; every slice is oracle-verified)
     --wrap              append the fallback wrapper to the app output
@@ -101,13 +98,12 @@ fn main() -> ExitCode {
 
 /// Options every app-loading command takes.
 const COMMON_OPTIONS: [&str; 3] = ["app", "packages", "handler"];
-const TRIM_OPTIONS: [&str; 8] = [
+const TRIM_OPTIONS: [&str; 7] = [
     "oracle",
     "out",
     "k",
     "scoring",
     "algorithm",
-    "engine",
     "no-slice",
     "wrap",
 ];
@@ -164,9 +160,6 @@ fn debloat_options(args: &Args) -> Result<DebloatOptions, String> {
                 ))
             }
         };
-    }
-    if let Some(e) = args.get("engine") {
-        options.engine = parse_engine(e)?;
     }
     if let Some(v) = args.get("no-slice") {
         return Err(format!("--no-slice takes no value (got `{v}`)"));
@@ -656,6 +649,16 @@ mod tests {
     }
 
     #[test]
+    fn removed_engine_flag_is_rejected() {
+        let err = cmd_trim(&args(&["trim", "--app", "a.py", "--engine", "tree"]))
+            .expect_err("the VM is the only oracle tier; --engine no longer exists");
+        assert!(
+            err.contains("unknown option `--engine` for `trim`"),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn removed_ic_stats_flag_is_rejected() {
         let err = cmd_trim(&args(&["trim", "--app", "a.py", "--ic-stats"]))
             .expect_err("the inline-cache counters no longer exist");
@@ -745,27 +748,6 @@ mod tests {
     }
 
     #[test]
-    fn engine_flag_is_parsed_and_validated() {
-        assert_eq!(
-            debloat_options(&args(&[])).unwrap().engine,
-            trim_core::Engine::Vm
-        );
-        assert_eq!(
-            debloat_options(&args(&["--engine", "vm"])).unwrap().engine,
-            trim_core::Engine::Vm
-        );
-        assert_eq!(
-            debloat_options(&args(&["--engine", "tree"]))
-                .unwrap()
-                .engine,
-            trim_core::Engine::Tree
-        );
-        let err = debloat_options(&args(&["--engine", "jit"])).expect_err("bad engine rejected");
-        assert!(err.contains("unknown engine `jit`"), "{err}");
-        assert!(err.contains("expected vm|tree"), "{err}");
-    }
-
-    #[test]
     fn stream_flag_conflicts_with_trace() {
         let err = cmd_simulate(&args(&["simulate", "--stream", "--trace", "t.csv"]))
             .expect_err("--stream with --trace must be rejected");
@@ -851,8 +833,8 @@ mod tests {
         let err = debloat_options(&args(&["--no-slice", "yes"])).expect_err("value rejected");
         assert!(err.contains("--no-slice takes no value"), "{err}");
         // Followed by another flag it parses as the boolean it is.
-        let opts = debloat_options(&args(&["--no-slice", "--engine", "tree"])).unwrap();
+        let opts = debloat_options(&args(&["--no-slice", "--algorithm", "greedy"])).unwrap();
         assert!(!opts.slice_init);
-        assert_eq!(opts.engine, trim_core::Engine::Tree);
+        assert_eq!(opts.algorithm, trim_core::Algorithm::Greedy);
     }
 }

@@ -3,7 +3,7 @@
 //! head-to-head checks against the baseline debloaters.
 
 use lambda_trim::{trim_app, DebloatOptions};
-use trim_core::run_app;
+use trim_core::{run_app, ProbeCache};
 
 /// Every mini-corpus app: trimming preserves behavior and never makes
 /// initialization or memory worse.
@@ -172,6 +172,30 @@ fn pipeline_is_deterministic() {
     .unwrap();
     assert_eq!(a.trimmed, b.trimmed);
     assert_eq!(a.oracle_invocations, b.oracle_invocations);
+}
+
+/// A repeat trim with one shared probe cache runs no oracle at all: DD
+/// probes, commit re-verifies and slice probes are all keyed by candidate
+/// content, so every question the second trim asks was answered by the
+/// first.
+#[test]
+fn repeat_trim_with_a_shared_probe_cache_runs_no_oracle() {
+    let bench = trim_apps::app("igraph").unwrap();
+    let cache = ProbeCache::shared();
+    let options = DebloatOptions {
+        probe_cache: Some(cache.clone()),
+        ..DebloatOptions::default()
+    };
+    let trim = || trim_app(&bench.registry, &bench.app_source, &bench.spec, &options).unwrap();
+    let first = trim();
+    let slice_probes: u64 = first.slices.iter().map(|s| s.oracle_invocations).sum();
+    assert!(slice_probes > 0, "the trim exercises slice probes");
+    let misses = cache.misses();
+    let second = trim();
+    assert_eq!(cache.misses(), misses, "the repeat trim adds no cache miss");
+    assert_eq!(second.debloat_secs, 0.0, "no oracle run was charged");
+    assert_eq!(second.trimmed, first.trimmed);
+    assert_eq!(second.oracle_invocations, first.oracle_invocations);
 }
 
 /// The full 21-app corpus loads and passes its own oracles (cheap smoke
